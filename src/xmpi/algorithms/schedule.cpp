@@ -226,8 +226,10 @@ bool Schedule::advance(bool blocking, int* err) {
                              static_cast<std::uint32_t>(st.peer),
                              rs->vnow + rs->universe->cfg.copy_sync);
                 shm::stats_add_publish();
-                // Peer schedules parked on this cell may be engine-driven.
+                // Peer schedules parked on this cell may be engine-driven,
+                // or nonblocking ones parked in a node-mate's mailbox wait.
                 progress::stimulate(comm_->universe, -1);
+                wake_node(comm_->universe, rs->world_rank);
                 break;
             }
             case Step::Kind::copy_get: {
@@ -249,9 +251,10 @@ bool Schedule::advance(bool blocking, int* err) {
                                             static_cast<std::uint64_t>(st.type->size);
                 copy_typed(st.rbuf, src, st.count, st.type);
                 shm::ack(*shm_block_, *st.cell);
-                // The producer (possibly engine-driven) may be parked in
-                // wait_drained on this cell.
+                // The producer may be parked in wait_drained on this cell
+                // (engine-driven) or in its mailbox wait (nonblocking).
                 progress::stimulate(comm_->universe, -1);
+                wake_node(comm_->universe, rs->world_rank);
                 rs->vnow.advance_to(arrival);
                 rs->vnow += rs->universe->cfg.gamma_copy * static_cast<double>(bytes);
                 ++rs->counters.shm_copies;

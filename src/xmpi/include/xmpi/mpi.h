@@ -559,9 +559,11 @@ int XMPI_T_tune_reset(void);
 //                   own peak — the value XMPI_T_sched_stats also reports —
 //                   while `.max` reduces over all ranks of the universe, the
 //                   same aggregation RunResult::total applies.
-//   p2p.wait_time_ns  wall nanoseconds the rank spent blocked in wait/test
-//                   (summed over all ranks of the last traced run when read
-//                   outside a rank body).
+//   p2p.wait_time_ns  wall nanoseconds the rank spent blocked in wait/test,
+//                   spinning or parked (summed over all ranks of the last
+//                   traced run when read outside a rank body).
+//   p2p.wait_parks  blocking waits that outlasted the spin and parked on
+//                   the mailbox condition variable (same scoping).
 //   sim.* tune.*    process-wide simulator / feedback-loop accounting (the
 //                   XMPI_T_sim_stats / XMPI_T_tune_stats fields).
 //   trace.*         ring accounting (events recorded / dropped).
@@ -579,7 +581,7 @@ int XMPI_T_pvar_name(int index, char* name, int namelen, int* value_count);
 /// number of values written out. Per-rank variables return MPI_ERR_OTHER
 /// outside a rank body.
 int XMPI_T_pvar_read(int index, unsigned long long* values, int* count);
-/// Resets pvar `index` (histograms and `p2p.wait_time_ns`); MPI_ERR_OTHER
+/// Resets pvar `index` (histograms and the `p2p.*` wait pvars); MPI_ERR_OTHER
 /// for read-only variables.
 int XMPI_T_pvar_reset(int index);
 /// Reports the last traced run's ring accounting (any pointer may be null):

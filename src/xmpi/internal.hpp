@@ -5,6 +5,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -115,14 +116,31 @@ struct Envelope {
 struct xmpi_request_t_internal;
 
 // ---------------------------------------------------------------------------
-// Mailbox: per-rank matching engine. All state is guarded by `m`; waiters
-// block on `cv`. Completing a request owned by rank R requires holding R's
-// mailbox mutex (requests are completed either by R itself or by a sender
-// currently holding R's mutex).
+// Mailbox: per-rank matching engine. All state is guarded by `m`. Completing
+// a request owned by rank R requires holding R's mailbox mutex (requests are
+// completed either by R itself or by a sender currently holding R's mutex).
+//
+// Blocking waits of R (p2p.cpp, mailbox_wait) spin, then park on `cv`:
+//   - Every event that may end a wait of R bumps `arrivals` under `m`: a
+//     deposit, wake_rank (ssend match, progress-engine completion),
+//     wake_all (death, revoke) and a same-node shm publish/ack.
+//   - A waiter reads `arrivals` before its completion check. It spins on
+//     the counter (only when the universe's threads fit the cores, see
+//     Universe::spin_waits) and parks only if, re-read under `m`, the
+//     counter has not moved — so no event between check and park is lost.
+//   - Parked waiters are counted in `sleepers`; deposit and wake_rank
+//     notify only when it is non-zero. wake_all notifies unconditionally.
 // ---------------------------------------------------------------------------
+/// Total spin of one blocking wait before it parks. It covers the waits of
+/// a small collective among running ranks (a few µs each); a longer wait
+/// parks and pays the futex sleep/wake pair.
+inline constexpr std::chrono::microseconds kWaitSpinBudget{30};
+
 struct Mailbox {
     std::mutex m;
     std::condition_variable cv;
+    int sleepers = 0;  // threads parked on `cv`; guarded by `m`
+    std::atomic<std::uint64_t> arrivals{0};  // written under `m`, spun on without it
     std::deque<Envelope> unexpected;
     std::vector<xmpi_request_t*> posted;  // posted receives, in post order
 };
@@ -174,12 +192,16 @@ struct RankState {
 
     Counters counters;
 
-    /// Wall-clock nanoseconds spent asleep in blocking wait/test paths
-    /// (p2p.cpp samples the steady clock only when a wait actually blocks).
-    /// Deliberately *not* a Counters field: Counters is a stable
+    /// Wall-clock nanoseconds spent in blocking waits, spinning or parked
+    /// (p2p.cpp samples the steady clock only once a completion check has
+    /// failed). Deliberately *not* a Counters field: Counters is a stable
     /// user-visible aggregate struct; this is exposed via the
     /// `p2p.wait_time_ns` pvar instead.
     std::uint64_t wait_time_ns = 0;
+
+    /// Blocking waits that outlasted the spin and parked on the mailbox
+    /// condition variable (the `p2p.wait_parks` pvar).
+    std::uint64_t wait_parks = 0;
 
     /// Number of generalized-request progress invocations made from this
     /// rank's application thread (wait/test/free paths). The overlap test
@@ -229,6 +251,12 @@ struct Universe {
     /// thread, allocated via trace::add_engine_ring before rank threads
     /// exist, merged into the timeline at trace::end_universe).
     std::vector<std::unique_ptr<trace::Ring>> engine_trace_rings;
+    /// True when the rank threads plus progress workers fit in
+    /// std::thread::hardware_concurrency(): blocking waits then spin briefly
+    /// before parking. Oversubscribed universes park at once, since a
+    /// spinning rank would steal the core of the peer it waits for. Set once
+    /// before the rank threads start.
+    bool spin_waits = false;
 };
 
 /// Thread-local pointer to the calling rank's state (null outside ranks).
@@ -241,14 +269,23 @@ double thread_cpu_now();
 /// the last charge.
 void charge_compute(RankState* rs);
 
+/// Re-anchors the CPU sample without charging it: CPU burnt spinning or
+/// parked in a blocking wait is waiting time, not compute.
+void discard_compute(RankState* rs);
+
 /// Wakes every rank blocked on its mailbox (used on rank death / revoke so
 /// blocked operations re-evaluate their failure predicates).
 void wake_all(Universe* u);
 
-/// Wakes one rank blocked on its mailbox condition variable (lock-empty
-/// critical section, so a concurrently parking waiter cannot miss the
-/// notify). Used by the progress engine to publish schedule completion.
+/// Wakes one rank blocked on its mailbox: bumps its arrival counter under
+/// the mailbox mutex (so a concurrently parking waiter cannot miss it) and
+/// notifies if a waiter is parked. Used for ssend matches and by the
+/// progress engine to publish schedule completion.
 void wake_rank(RankState* rs);
+
+/// wake_rank for every other rank on `world_rank`'s node: a shm publish or
+/// ack may be what a node-mate's nonblocking schedule is waiting for.
+void wake_node(Universe* u, int world_rank);
 
 // ---------------------------------------------------------------------------
 // Communicators

@@ -6,21 +6,51 @@
 /// is guarded by its mutex. A thread holds at most one mailbox mutex at a
 /// time; cross-rank wakeups (synchronous-send completion) are issued after
 /// releasing the local mutex.
+///
+/// Blocking waits all go through mailbox_wait, which spins on R's arrival
+/// counter and then parks on R's cv (protocol: Mailbox in internal.hpp):
+///   - Every event that may end a wait bumps the counter under R's mutex;
+///     the waiter parks, counted in `sleepers`, only if the counter has not
+///     moved since its last check, and notifiers skip the notify while
+///     nobody is parked.
+///   - The spin lasts at most kWaitSpinBudget per wait and only runs when
+///     the universe does not oversubscribe the cores (spin_waits). It calls
+///     nothing that charges compute, and the CPU burnt spinning or parked is
+///     re-anchored away afterwards (discard_compute), so virtual time sees
+///     it as waiting.
 #include <algorithm>
 #include <chrono>
+#include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "internal.hpp"
 #include "progress.hpp"
 
 namespace xmpi::detail {
 
-/// Wakes a remote rank blocked on its own mailbox (lock-empty critical
-/// section avoids lost wakeups without holding two mailbox mutexes). Also
-/// used by the asynchronous progress engine to wake an owner parked in
-/// wait_one on an offloaded schedule.
+/// Wakes a rank blocked on its own mailbox. Bumping the arrival counter
+/// under the mutex closes the window between a waiter's check and its park
+/// without holding two mailbox mutexes. Also used by the asynchronous
+/// progress engine to wake an owner parked in wait_one on an offloaded
+/// schedule.
 void wake_rank(RankState* rs) {
-    { std::lock_guard<std::mutex> lock(rs->mbox.m); }
-    rs->mbox.cv.notify_all();
+    bool parked;
+    {
+        std::lock_guard<std::mutex> lock(rs->mbox.m);
+        rs->mbox.arrivals.fetch_add(1, std::memory_order_relaxed);
+        parked = rs->mbox.sleepers > 0;
+    }
+    if (parked) rs->mbox.cv.notify_all();
+}
+
+void wake_node(Universe* u, int world_rank) {
+    for (int w = 0; w < u->size; ++w) {
+        if (w != world_rank && topo::same_node(u, w, world_rank))
+            wake_rank(u->ranks[static_cast<std::size_t>(w)].get());
+    }
 }
 
 namespace {
@@ -58,31 +88,101 @@ void unlink_posted(RankState* self, xmpi_request_t* req) {
     req->posted = false;
 }
 
-/// Wall-clock accounting for blocking waits. The steady clock is sampled
-/// lazily, just before the first actual sleep, so a wait whose request is
-/// already complete pays zero clock reads. Accumulates into
-/// RankState::wait_time_ns (the `p2p.wait_time_ns` pvar).
-struct WaitTimer {
-    std::chrono::steady_clock::time_point t0;
-    bool slept = false;
+/// Spin shape: pause between counter loads, read the clock every
+/// kPausesPerCheck loads and yield every kChecksPerYield clock reads.
+inline constexpr int kPausesPerCheck = 32;
+inline constexpr int kChecksPerYield = 8;
+/// Park slice for waits that also poll (generalized requests, Waitany).
+inline constexpr auto kPollSlice = std::chrono::microseconds(200);
 
-    void about_to_sleep(int tag, std::uint64_t seq) {
-        if (slept) return;
-        slept = true;
-        t0 = std::chrono::steady_clock::now();
-        trace::ev(trace::Ev::wait_begin, -1, tag, 0, seq);
-    }
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#else
+    std::this_thread::yield();
+#endif
+}
 
-    void finish(RankState* self, int tag, std::uint64_t seq) {
-        if (!slept) return;
-        auto const ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                                 t0)
-                .count());
-        self->wait_time_ns += ns;
-        trace::ev(trace::Ev::wait_end, -1, tag, ns, seq);
+/// Spins until `mb`'s arrival counter leaves `seen` (true) or `deadline`
+/// passes (false).
+bool spin_for_arrival(Mailbox& mb, std::uint64_t seen,
+                      std::chrono::steady_clock::time_point deadline) {
+    for (int checks = 1;; ++checks) {
+        for (int i = 0; i < kPausesPerCheck; ++i) {
+            if (mb.arrivals.load(std::memory_order_acquire) != seen) return true;
+            cpu_relax();
+        }
+        if (std::chrono::steady_clock::now() >= deadline) return false;
+        if (checks % kChecksPerYield == 0) std::this_thread::yield();
     }
-};
+}
+
+/// The one blocking-wait loop of the engine. `check()` is the full
+/// completion test: it may lock the mailbox, run progress and charge
+/// compute, and returns true once the wait is over (completed or failed).
+/// Between checks the rank spins, then parks, per the file header. With
+/// `poll` each park is bounded by kPollSlice.
+///
+/// Wall-clock accounting: the steady clock is first read when a check fails,
+/// so a wait whose request is already complete pays zero clock reads. The
+/// wait's duration, spin included, accumulates into RankState::wait_time_ns
+/// (the `p2p.wait_time_ns` pvar) between paired wait_begin/wait_end trace
+/// events; a wait that parks counts once in `p2p.wait_parks`.
+template <typename Check>
+void mailbox_wait(RankState* self, int tag, std::uint64_t seq, bool poll, Check&& check) {
+    using clock = std::chrono::steady_clock;
+    Mailbox& mb = self->mbox;
+    clock::time_point t0{};
+    bool waited = false;
+    bool parked = false;
+    for (;;) {
+        std::uint64_t const seen = mb.arrivals.load(std::memory_order_acquire);
+        if (check()) break;
+        if (!waited) {
+            waited = true;
+            t0 = clock::now();
+            trace::ev(trace::Ev::wait_begin, -1, tag, 0, seq);
+        }
+        if (self->universe->spin_waits && !parked) {
+            bool const moved = spin_for_arrival(mb, seen, t0 + kWaitSpinBudget);
+            discard_compute(self);
+            if (moved) continue;
+        }
+        {
+            std::unique_lock<std::mutex> lock(mb.m);
+            if (mb.arrivals.load(std::memory_order_relaxed) != seen) continue;
+            if (!parked) {
+                parked = true;
+                ++self->wait_parks;
+            }
+            ++mb.sleepers;
+            if (poll) {
+                mb.cv.wait_for(lock, kPollSlice);
+            } else {
+                mb.cv.wait(lock);
+            }
+            --mb.sleepers;
+        }
+        discard_compute(self);
+    }
+    if (!waited) return;
+    auto const ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0).count());
+    self->wait_time_ns += ns;
+    trace::ev(trace::Ev::wait_end, -1, tag, ns, seq);
+}
+
+/// Completion check of a generalized request: an offloaded schedule is
+/// driven entirely by the progress engine, whose completion wakes the owner.
+/// Otherwise the calling thread drives the schedule itself — those calls
+/// are counted so the overlap tests can assert the wait side did zero
+/// progress work under the engine.
+bool generalized_done(RankState* self, xmpi_request_t* req) {
+    if (req->complete.load(std::memory_order_acquire)) return true;
+    if (req->offloaded) return false;
+    ++self->app_progress_calls;
+    return req->progress(req);
+}
 
 /// Failure/revocation predicate for a pending receive. Returns an MPI error
 /// code or MPI_SUCCESS when the operation may keep waiting.
@@ -194,6 +294,7 @@ int deposit(RankState* sender, MPI_Comm comm, int context, int dest_comm_rank, i
     trace::ev(trace::Ev::send, dest_w, tag, bytes, static_cast<std::uint64_t>(context));
 
     RankState* dest = u->ranks[static_cast<std::size_t>(dest_w)].get();
+    bool parked;
     {
         std::lock_guard<std::mutex> lock(dest->mbox.m);
         auto& posted = dest->mbox.posted;
@@ -212,8 +313,10 @@ int deposit(RankState* sender, MPI_Comm comm, int context, int dest_comm_rank, i
             }
         }
         if (!matched) dest->mbox.unexpected.push_back(std::move(env));
-        dest->mbox.cv.notify_all();
+        dest->mbox.arrivals.fetch_add(1, std::memory_order_relaxed);
+        parked = dest->mbox.sleepers > 0;
     }
+    if (parked) dest->mbox.cv.notify_all();
     // An offloaded schedule owned by the destination may be parked waiting
     // for exactly this message: nudge its progress worker (no-op when the
     // engine is off).
@@ -266,22 +369,18 @@ int wait_one(xmpi_request_t* req, MPI_Status* status) {
         }
         case xmpi_request_t::Kind::recv: {
             auto const ctx = static_cast<std::uint64_t>(req->context);
-            int const wtag = req->match_tag;
-            WaitTimer timer;
             int err = MPI_SUCCESS;
-            {
-                std::unique_lock<std::mutex> lock(self->mbox.m);
-                while (!req->complete.load(std::memory_order_acquire)) {
-                    err = recv_failure(u, req);
-                    if (err != MPI_SUCCESS) {
-                        unlink_posted(self, req);
-                        break;
-                    }
-                    timer.about_to_sleep(wtag, ctx);
-                    self->mbox.cv.wait(lock);
-                }
-            }
-            timer.finish(self, wtag, ctx);
+            mailbox_wait(self, req->match_tag, ctx, false, [&] {
+                if (req->complete.load(std::memory_order_acquire)) return true;
+                int const e = recv_failure(u, req);
+                if (e == MPI_SUCCESS) return false;
+                // A deposit may complete the request until we hold the lock.
+                std::lock_guard<std::mutex> lock(self->mbox.m);
+                if (req->complete.load(std::memory_order_acquire)) return true;
+                unlink_posted(self, req);
+                err = e;
+                return true;
+            });
             if (err != MPI_SUCCESS) {
                 retire(req);
                 return err;
@@ -296,50 +395,24 @@ int wait_one(xmpi_request_t* req, MPI_Status* status) {
         }
         case xmpi_request_t::Kind::ssend: {
             auto const ctx = static_cast<std::uint64_t>(req->context);
-            WaitTimer timer;
             int err = MPI_SUCCESS;
-            {
-                std::unique_lock<std::mutex> lock(self->mbox.m);
-                while (!req->tok->matched.load(std::memory_order_acquire)) {
-                    if (comm_revoked(req->comm)) {
-                        err = MPIX_ERR_REVOKED;
-                        break;
-                    }
-                    if (rank_dead(u, req->comm->world_of(req->match_src))) {
-                        err = MPIX_ERR_PROC_FAILED;
-                        break;
-                    }
-                    timer.about_to_sleep(req->match_tag, ctx);
-                    self->mbox.cv.wait(lock);
+            mailbox_wait(self, req->match_tag, ctx, false, [&] {
+                if (req->tok->matched.load(std::memory_order_acquire)) return true;
+                if (comm_revoked(req->comm)) {
+                    err = MPIX_ERR_REVOKED;
+                } else if (rank_dead(u, req->comm->world_of(req->match_src))) {
+                    err = MPIX_ERR_PROC_FAILED;
                 }
-            }
-            timer.finish(self, req->match_tag, ctx);
+                return err != MPI_SUCCESS;
+            });
             if (err == MPI_SUCCESS) self->vnow.advance_to(req->tok->match_vtime);
             fill_empty_status(status);
             retire(req);
             return err;
         }
         case xmpi_request_t::Kind::generalized: {
-            using namespace std::chrono_literals;
-            auto const ctx = static_cast<std::uint64_t>(req->context);
-            WaitTimer timer;
-            while (!req->complete.load(std::memory_order_acquire)) {
-                // An offloaded schedule is driven entirely by the progress
-                // engine: the app thread parks and the engine's completion
-                // wakes it. Otherwise the app thread drives the schedule
-                // itself — those calls are counted so the overlap tests can
-                // assert the wait side did zero progress work under the
-                // engine.
-                if (!req->offloaded) {
-                    ++self->app_progress_calls;
-                    if (req->progress(req)) break;
-                }
-                std::unique_lock<std::mutex> lock(self->mbox.m);
-                if (req->complete.load(std::memory_order_acquire)) break;
-                timer.about_to_sleep(-1, ctx);
-                self->mbox.cv.wait_for(lock, 200us);
-            }
-            timer.finish(self, -1, ctx);
+            mailbox_wait(self, -1, static_cast<std::uint64_t>(req->context), true,
+                         [&] { return generalized_done(self, req); });
             self->vnow.advance_to(req->completion_vtime);
             fill_empty_status(status);
             int const err = req->error;
@@ -602,15 +675,15 @@ int MPI_Sendrecv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, int 
 }
 
 int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
-    int flag = 0;
-    // Blocking probe: loop on Iprobe with the mailbox condition variable.
+    // Blocking probe: an Iprobe scan plus failure checks per mailbox wait.
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     RankState* self = tls_rank();
     Universe* u = self->universe;
     charge_compute(self);
-    std::unique_lock<std::mutex> lock(self->mbox.m);
-    for (;;) {
+    int rc = MPI_SUCCESS;
+    mailbox_wait(self, tag, static_cast<std::uint64_t>(comm->context), false, [&] {
+        std::lock_guard<std::mutex> lock(self->mbox.m);
         for (auto& env : self->mbox.unexpected) {
             if (match(comm->context, source, tag, env)) {
                 if (status != nullptr) {
@@ -618,16 +691,18 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
                                          static_cast<int>(env.bytes.size())};
                 }
                 self->vnow.advance_to(env.arrival);
-                return MPI_SUCCESS;
+                return true;
             }
         }
-        if (comm_revoked(comm)) return MPIX_ERR_REVOKED;
-        if (source != MPI_ANY_SOURCE && rank_dead(u, comm->world_of(source)))
-            return MPIX_ERR_PROC_FAILED;
-        if (source == MPI_ANY_SOURCE && any_member_dead(comm)) return MPIX_ERR_PROC_FAILED;
-        self->mbox.cv.wait(lock);
-    }
-    (void)flag;
+        if (comm_revoked(comm)) {
+            rc = MPIX_ERR_REVOKED;
+        } else if (source != MPI_ANY_SOURCE ? rank_dead(u, comm->world_of(source))
+                                            : any_member_dead(comm)) {
+            rc = MPIX_ERR_PROC_FAILED;
+        }
+        return rc != MPI_SUCCESS;
+    });
+    return rc;
 }
 
 int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status) {
@@ -724,7 +799,6 @@ int MPI_Testall(int count, MPI_Request* requests, int* flag, MPI_Status* statuse
 }
 
 int MPI_Waitany(int count, MPI_Request* requests, int* index, MPI_Status* status) {
-    using namespace std::chrono_literals;
     if (index == nullptr) return MPI_ERR_ARG;
     // Null and inactive persistent requests are ignored (MPI semantics);
     // with nothing active there is nothing to wait for.
@@ -736,22 +810,22 @@ int MPI_Waitany(int count, MPI_Request* requests, int* index, MPI_Status* status
         *index = MPI_UNDEFINED;
         return MPI_SUCCESS;
     }
-    RankState* self = tls_rank();
-    for (;;) {
+    int rc = MPI_SUCCESS;
+    mailbox_wait(tls_rank(), -1, 0, true, [&] {
         for (int i = 0; i < count; ++i) {
             if (requests[i] == MPI_REQUEST_NULL || inactive_persistent(requests[i])) continue;
             int f = 0;
             bool const keep = keeps_handle(requests[i]);
-            int const rc = test_one(requests[i], &f, status);
+            rc = test_one(requests[i], &f, status);
             if (f != 0) {
                 if (!keep) requests[i] = MPI_REQUEST_NULL;
                 *index = i;
-                return rc;
+                return true;
             }
         }
-        std::unique_lock<std::mutex> lock(self->mbox.m);
-        self->mbox.cv.wait_for(lock, 200us);
-    }
+        return false;
+    });
+    return rc;
 }
 
 int MPI_Testany(int count, MPI_Request* requests, int* index, int* flag, MPI_Status* status) {
@@ -834,16 +908,8 @@ int MPI_Request_free(MPI_Request* request) {
         // (peers depend on our remaining sends); drive it to completion
         // first. Every rank freeing its started request terminates like the
         // blocking collective would.
-        using namespace std::chrono_literals;
-        while (!req->complete.load(std::memory_order_acquire)) {
-            if (!req->offloaded) {
-                ++self->app_progress_calls;
-                if (req->progress(req)) break;
-            }
-            std::unique_lock<std::mutex> lock(self->mbox.m);
-            if (req->complete.load(std::memory_order_acquire)) break;
-            self->mbox.cv.wait_for(lock, 200us);
-        }
+        mailbox_wait(self, -1, static_cast<std::uint64_t>(req->context), true,
+                     [&] { return generalized_done(self, req); });
     }
     delete req;
     return MPI_SUCCESS;

@@ -356,10 +356,12 @@ void refresh_env() {
     g_env_min_bytes.store(-1, std::memory_order_release);
 }
 
-void start(Universe* u) {
-    if (!enabled()) return;
+int start(Universe* u) {
+    if (!enabled()) return 0;
     g_pstats().reset();
-    u->progress_engine = std::make_shared<Engine>(u, thread_count());
+    int const n = thread_count();
+    u->progress_engine = std::make_shared<Engine>(u, n);
+    return n;
 }
 
 void stop(Universe* u) {

@@ -65,9 +65,10 @@ std::uint64_t min_offload_bytes();
 /// from XMPI_T_alg_env_refresh.
 void refresh_env();
 
-/// Starts the engine for `u` when enabled (no-op otherwise). Must run
-/// before rank threads exist; pairs with stop().
-void start(Universe* u);
+/// Starts the engine for `u` when enabled (no-op otherwise) and returns the
+/// number of progress threads spawned (0 when off). Must run before rank
+/// threads exist; pairs with stop().
+int start(Universe* u);
 
 /// Stops and joins the engine threads (no-op when none). Must run after
 /// all rank threads joined and before trace/end-of-run aggregation.

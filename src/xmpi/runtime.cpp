@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <unordered_set>
 
 #include "internal.hpp"
@@ -60,9 +61,15 @@ void charge_compute(RankState* rs) {
     rs->last_cpu = cpu;
 }
 
+void discard_compute(RankState* rs) {
+    if (progress::on_progress_thread()) return;
+    rs->last_cpu = thread_cpu_now();
+}
+
 void wake_all(Universe* u) {
     for (auto& r : u->ranks) {
         std::lock_guard<std::mutex> lock(r->mbox.m);
+        r->mbox.arrivals.fetch_add(1, std::memory_order_relaxed);
         r->mbox.cv.notify_all();
     }
     // Dead-rank / revoke predicates are also re-evaluated by parked progress
@@ -196,7 +203,10 @@ RunResult run(int num_ranks, std::function<void(int)> const& body, Config const&
     // engine threads register their own rings — and before any rank thread
     // can arm a schedule); a no-op unless XMPI_ASYNC_PROGRESS / the
     // XMPI_T_progress_set control enabled it.
-    detail::progress::start(universe.get());
+    int const progress_threads = detail::progress::start(universe.get());
+    unsigned const cores = std::thread::hardware_concurrency();
+    universe->spin_waits =
+        cores != 0 && static_cast<unsigned>(num_ranks + progress_threads) <= cores;
 
     std::vector<ThreadArg> args(static_cast<std::size_t>(num_ranks));
     std::vector<pthread_t> threads(static_cast<std::size_t>(num_ranks));

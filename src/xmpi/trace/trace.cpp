@@ -359,6 +359,7 @@ void end_universe(Universe& u) {
         run.recorded += rs->trace_ring->recorded();
         run.dropped += rs->trace_ring->dropped();
         run.wait_ns += rs->wait_time_ns;
+        run.wait_parks += rs->wait_parks;
         auto snap = rs->trace_ring->snapshot();
         run.records.insert(run.records.end(), snap.begin(), snap.end());
         rs->trace_ring.reset();
@@ -518,22 +519,25 @@ std::vector<Pvar> build_pvar_table() {
                  },
                  nullptr});
 
-    t.push_back({"p2p.wait_time_ns", 1,
-                 [](unsigned long long* out) {
-                     if (tls_rank() != nullptr) {
-                         *out = tls_rank()->wait_time_ns;
+    // Per-rank wait accounting: the calling rank's value inside a rank body,
+    // the last traced universe's sum outside one; resettable in-rank.
+    auto wait_pvar = [&t](char const* name, std::uint64_t RankState::*field,
+                          std::uint64_t trace::LastRun::*sum) {
+        t.push_back({name, 1,
+                     [field, sum](unsigned long long* out) {
+                         RankState* const rs = tls_rank();
+                         *out = rs != nullptr ? rs->*field : trace::last_run().*sum;
                          return MPI_SUCCESS;
-                     }
-                     auto const lr = trace::last_run();
-                     *out = lr.wait_ns;
-                     return MPI_SUCCESS;
-                 },
-                 [] {
-                     RankState* const rs = tls_rank();
-                     if (rs == nullptr) return MPI_ERR_OTHER;
-                     rs->wait_time_ns = 0;
-                     return MPI_SUCCESS;
-                 }});
+                     },
+                     [field] {
+                         RankState* const rs = tls_rank();
+                         if (rs == nullptr) return MPI_ERR_OTHER;
+                         rs->*field = 0;
+                         return MPI_SUCCESS;
+                     }});
+    };
+    wait_pvar("p2p.wait_time_ns", &RankState::wait_time_ns, &trace::LastRun::wait_ns);
+    wait_pvar("p2p.wait_parks", &RankState::wait_parks, &trace::LastRun::wait_parks);
 
     auto sim_field = [](int idx) {
         return [idx](unsigned long long* out) {

@@ -3,9 +3,20 @@
 /// wildcards, non-blocking completion, synchronous mode, probes, statuses.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <random>
+#include <thread>
 #include <vector>
 
+#include "../testing_utils.hpp"
 #include "xmpi/mpi.h"
 #include "xmpi/xmpi.hpp"
 
@@ -463,5 +474,233 @@ TEST(RequestLifecycle, DoubleFreeIsWellDefined) {
         // reported as MPI_ERR_REQUEST instead of touching freed memory.
         EXPECT_EQ(MPI_Request_free(&req), MPI_ERR_REQUEST);
         EXPECT_EQ(MPI_Request_free(nullptr), MPI_ERR_REQUEST);
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Lost-wakeup stress: blocking waits spin, then park on the mailbox
+// condition variable. Every wait kind runs against seeded peer jitter, so
+// the events that end a wait land before, during and after the spin and
+// the park. A missed wakeup hangs an indefinite wait (or costs a poll slice
+// on a polling one); the watchdog turns a hang into a failure.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Aborts the test binary if the scope runs longer than `limit`, so a
+/// hung wait fails in seconds instead of at the ctest timeout.
+class Watchdog {
+public:
+    Watchdog(char const* what, std::chrono::seconds limit)
+        : th_([this, what, limit] {
+              std::unique_lock<std::mutex> lock(m_);
+              if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+                  std::fprintf(stderr, "watchdog: %s still running after %lld s\n", what,
+                               static_cast<long long>(limit.count()));
+                  std::abort();
+              }
+          }) {}
+    ~Watchdog() {
+        {
+            std::lock_guard<std::mutex> lock(m_);
+            done_ = true;
+        }
+        cv_.notify_all();
+        th_.join();
+    }
+    Watchdog(Watchdog const&) = delete;
+    Watchdog& operator=(Watchdog const&) = delete;
+
+private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    bool done_ = false;
+    std::thread th_;
+};
+
+/// Sleeps or busy-waits a seeded 0..60 µs, or not at all.
+void jitter(std::mt19937_64& rng) {
+    int const us = static_cast<int>(rng() % 80);
+    if (us >= 60) return;
+    if (us % 2 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(us));
+    } else {
+        auto const until = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+    }
+}
+
+void wait_kind_stress(int nranks, int rounds, std::uint64_t seed) {
+    xmpi::run(nranks, [&](int rank) {
+        int const p = nranks;
+        int const next = (rank + 1) % p;
+        int const prev = (rank + p - 1) % p;
+        std::mt19937_64 jit(seed * 1000003u + static_cast<std::uint64_t>(rank));
+        std::int64_t sum_in = rank;
+        std::int64_t sum_out = -1;
+        MPI_Request coll = MPI_REQUEST_NULL;
+        ASSERT_EQ(MPI_Allreduce_init(&sum_in, &sum_out, 1, MPI_INT64_T, MPI_SUM, MPI_COMM_WORLD,
+                                     MPI_INFO_NULL, &coll),
+                  MPI_SUCCESS);
+        std::int64_t const total = static_cast<std::int64_t>(p) * (p - 1) / 2;
+        for (int round = 0; round < rounds; ++round) {
+            // Every rank draws the same op sequence from the shared seed.
+            std::mt19937_64 pick(seed + static_cast<std::uint64_t>(round));
+            int const op = static_cast<int>(pick() % 5);
+            int const v = round * 1000 + rank;
+            jitter(jit);
+            switch (op) {
+                case 0: {  // token ring of blocking receives: one message in flight
+                    int tok = -1;
+                    if (rank != 0) {
+                        ASSERT_EQ(MPI_Recv(&tok, 1, MPI_INT, prev, round, MPI_COMM_WORLD,
+                                           MPI_STATUS_IGNORE),
+                                  MPI_SUCCESS);
+                        ASSERT_EQ(tok, round + rank - 1);
+                        ++tok;
+                        jitter(jit);
+                    } else {
+                        tok = round;
+                    }
+                    ASSERT_EQ(MPI_Send(&tok, 1, MPI_INT, next, round, MPI_COMM_WORLD), MPI_SUCCESS);
+                    if (rank == 0) {
+                        ASSERT_EQ(MPI_Recv(&tok, 1, MPI_INT, prev, round, MPI_COMM_WORLD,
+                                           MPI_STATUS_IGNORE),
+                                  MPI_SUCCESS);
+                        ASSERT_EQ(tok, round + p - 1);
+                    }
+                    break;
+                }
+                case 1: {  // MPI_ANY_SOURCE probe at rank 0
+                    if (rank != 0) {
+                        ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 0, round, MPI_COMM_WORLD), MPI_SUCCESS);
+                        break;
+                    }
+                    int seen = 0;
+                    for (int i = 1; i < p; ++i) {
+                        MPI_Status st;
+                        ASSERT_EQ(MPI_Probe(MPI_ANY_SOURCE, round, MPI_COMM_WORLD, &st),
+                                  MPI_SUCCESS);
+                        int got = -1;
+                        ASSERT_EQ(MPI_Recv(&got, 1, MPI_INT, st.MPI_SOURCE, round,
+                                           MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                                  MPI_SUCCESS);
+                        ASSERT_EQ(got, round * 1000 + st.MPI_SOURCE);
+                        ++seen;
+                    }
+                    ASSERT_EQ(seen, p - 1);
+                    break;
+                }
+                case 2: {  // token ring of synchronous sends, each waiting for its match
+                    int tok = -1;
+                    if (rank != 0) {
+                        jitter(jit);
+                        ASSERT_EQ(MPI_Recv(&tok, 1, MPI_INT, prev, round, MPI_COMM_WORLD,
+                                           MPI_STATUS_IGNORE),
+                                  MPI_SUCCESS);
+                        ASSERT_EQ(tok, round + rank - 1);
+                        ++tok;
+                    } else {
+                        tok = round;
+                    }
+                    MPI_Request req = MPI_REQUEST_NULL;
+                    ASSERT_EQ(MPI_Issend(&tok, 1, MPI_INT, next, round, MPI_COMM_WORLD, &req),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+                    if (rank == 0) {
+                        jitter(jit);
+                        ASSERT_EQ(MPI_Recv(&tok, 1, MPI_INT, prev, round, MPI_COMM_WORLD,
+                                           MPI_STATUS_IGNORE),
+                                  MPI_SUCCESS);
+                        ASSERT_EQ(tok, round + p - 1);
+                    }
+                    break;
+                }
+                case 3: {  // persistent collective: generalized wait
+                    sum_out = -1;
+                    ASSERT_EQ(MPI_Start(&coll), MPI_SUCCESS);
+                    jitter(jit);
+                    ASSERT_EQ(MPI_Wait(&coll, MPI_STATUS_IGNORE), MPI_SUCCESS);
+                    ASSERT_EQ(sum_out, total);
+                    break;
+                }
+                case 4: {  // Waitany over receives from both neighbours
+                    int got[2] = {-1, -1};
+                    MPI_Request reqs[2];
+                    ASSERT_EQ(MPI_Irecv(&got[0], 1, MPI_INT, prev, 2 * round, MPI_COMM_WORLD,
+                                        &reqs[0]),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(MPI_Irecv(&got[1], 1, MPI_INT, next, 2 * round + 1,
+                                        MPI_COMM_WORLD, &reqs[1]),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, next, 2 * round, MPI_COMM_WORLD),
+                              MPI_SUCCESS);
+                    jitter(jit);
+                    ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, prev, 2 * round + 1, MPI_COMM_WORLD),
+                              MPI_SUCCESS);
+                    int done = 0;
+                    for (int k = 0; k < 2; ++k) {
+                        int idx = MPI_UNDEFINED;
+                        ASSERT_EQ(MPI_Waitany(2, reqs, &idx, MPI_STATUS_IGNORE), MPI_SUCCESS);
+                        ASSERT_TRUE(idx == 0 || idx == 1);
+                        done |= 1 << idx;
+                    }
+                    ASSERT_EQ(done, 3);
+                    ASSERT_EQ(got[0], round * 1000 + prev);
+                    ASSERT_EQ(got[1], round * 1000 + next);
+                    break;
+                }
+            }
+        }
+        ASSERT_EQ(MPI_Request_free(&coll), MPI_SUCCESS);
+    });
+}
+
+int oversubscribed_ranks() {
+    unsigned const cores = std::thread::hardware_concurrency();
+    return 2 * static_cast<int>(cores == 0 ? 4 : cores);
+}
+
+}  // namespace
+
+TEST(WaitStress, AllWaitKindsUnderJitterSpinPath) {
+    testing_utils::SeededRng rng;
+    Watchdog const dog("WaitStress spin path", std::chrono::seconds(30));
+    wait_kind_stress(4, 2000, rng.seed());
+}
+
+TEST(WaitStress, AllWaitKindsUnderJitterParkAtOncePath) {
+    testing_utils::SeededRng rng;
+    Watchdog const dog("WaitStress park-at-once path", std::chrono::seconds(30));
+    wait_kind_stress(oversubscribed_ranks(), 600, rng.seed());
+}
+
+// A rank killed while its peers are mid-wait (parked well past the spin)
+// must turn each wait into MPIX_ERR_PROC_FAILED, never a hang.
+TEST(WaitStress, KilledPeerEndsParkedWaitsWithProcFailed) {
+    Watchdog const dog("KilledPeerEndsParkedWaits", std::chrono::seconds(30));
+    xmpi::run(4, [](int rank) {
+        int v = 0;
+        switch (rank) {
+            case 0:  // blocking receive from the victim
+                EXPECT_EQ(MPI_Recv(&v, 1, MPI_INT, 1, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                          MPIX_ERR_PROC_FAILED);
+                break;
+            case 1:
+                usleep(3000);
+                XMPI_Die();
+            case 2:  // wildcard probe
+                EXPECT_EQ(MPI_Probe(MPI_ANY_SOURCE, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                          MPIX_ERR_PROC_FAILED);
+                break;
+            case 3: {  // synchronous send the victim never matches
+                MPI_Request req = MPI_REQUEST_NULL;
+                int rc = MPI_Issend(&v, 1, MPI_INT, 1, 0, MPI_COMM_WORLD, &req);
+                if (rc == MPI_SUCCESS) rc = MPI_Wait(&req, MPI_STATUS_IGNORE);
+                EXPECT_EQ(rc, MPIX_ERR_PROC_FAILED);
+                break;
+            }
+        }
     });
 }

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -484,6 +485,7 @@ TEST(Trace, PvarRegistryCoversStatsStructs) {
         "counters.schedule_peak_scratch_bytes.rank",
         "counters.schedule_peak_scratch_bytes.max",
         "p2p.wait_time_ns",
+        "p2p.wait_parks",
         "sim.dry_builds",
         "sim.tape_steps",
         "sim.events",
@@ -659,6 +661,103 @@ TEST(Trace, WaitTimeAccountedAndResettable) {
             ASSERT_EQ(MPI_Send(buf.data(), 4, MPI_INT, 0, 7, MPI_COMM_WORLD), MPI_SUCCESS);
         }
     });
+
+    // The receive is posted before the handshake and its reply comes a few
+    // µs later, so the wait usually ends inside the spin without parking;
+    // the spin still counts as waiting.
+    xmpi::run(2, [&](int r) {
+        std::vector<int> buf(4, r);
+        if (r == 0) {
+            ASSERT_EQ(XMPI_T_pvar_reset(wi), MPI_SUCCESS);
+            MPI_Request req = MPI_REQUEST_NULL;
+            ASSERT_EQ(MPI_Irecv(buf.data(), 4, MPI_INT, 1, 9, MPI_COMM_WORLD, &req), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Send(buf.data(), 4, MPI_INT, 1, 8, MPI_COMM_WORLD), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+            EXPECT_GT(pvar_read_scalar(wi), 0ull) << "a wait that ends in the spin is still a wait";
+        } else {
+            ASSERT_EQ(
+                MPI_Recv(buf.data(), 4, MPI_INT, 0, 8, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                MPI_SUCCESS);
+            auto const until = std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            ASSERT_EQ(MPI_Send(buf.data(), 4, MPI_INT, 0, 9, MPI_COMM_WORLD), MPI_SUCCESS);
+        }
+    });
+}
+
+TEST(Trace, WaitParksCountsOnlyWaitsThatReachTheConditionVariable) {
+    int const pi = pvar_index("p2p.wait_parks");
+    ASSERT_GE(pi, 0);
+    xmpi::run(2, [&](int r) {
+        int v = r;
+        if (r == 0) {
+            // Both ranks are running once this returns; count from here.
+            ASSERT_EQ(MPI_Recv(&v, 1, MPI_INT, 1, 1, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                      MPI_SUCCESS);
+            ASSERT_EQ(XMPI_T_pvar_reset(pi), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 1, 2, MPI_COMM_WORLD), MPI_SUCCESS);
+            EXPECT_EQ(pvar_read_scalar(pi), 0ull) << "a send never waits";
+            ASSERT_EQ(MPI_Recv(&v, 1, MPI_INT, 1, 3, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                      MPI_SUCCESS);
+            EXPECT_EQ(pvar_read_scalar(pi), 1ull) << "one 5 ms wait parks exactly once";
+        } else {
+            ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 0, 1, MPI_COMM_WORLD), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Recv(&v, 1, MPI_INT, 0, 2, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                      MPI_SUCCESS);
+            usleep(5000);
+            ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 0, 3, MPI_COMM_WORLD), MPI_SUCCESS);
+        }
+    });
+}
+
+// Spinning burns thread CPU, which the virtual clock would otherwise charge
+// as compute: a receiver that spun and then parked must come out of the
+// wait at the message's arrival time, not one spin budget later.
+TEST(Trace, SpinningIsNotChargedAsCompute) {
+    TopoPin const flat(1);
+    xmpi::Config cfg;
+    cfg.compute_scale = 1.0;
+    double excess = 0.0;
+    xmpi::run(
+        2,
+        [&](int r) {
+            double t = 0.0;
+            // Warm-up round trip, so no first-call costs land in the
+            // measured exchange.
+            for (int i = 0; i < 2; ++i) {
+                if (r == i) {
+                    ASSERT_EQ(MPI_Send(&t, 1, MPI_DOUBLE, 1 - r, 1, MPI_COMM_WORLD), MPI_SUCCESS);
+                } else {
+                    ASSERT_EQ(MPI_Recv(&t, 1, MPI_DOUBLE, 1 - r, 1, MPI_COMM_WORLD,
+                                       MPI_STATUS_IGNORE),
+                              MPI_SUCCESS);
+                }
+            }
+            if (r == 0) {
+                ASSERT_EQ(MPI_Recv(&t, 1, MPI_DOUBLE, 1, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                          MPI_SUCCESS);
+                double const done = MPI_Wtime();
+                ASSERT_EQ(MPI_Recv(&t, 1, MPI_DOUBLE, 1, 2, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                          MPI_SUCCESS);
+                // `t` was read just after the deposit that priced the
+                // message, so t + alpha + beta * 8 is at or just past its
+                // arrival: the difference bounds the receiver's own time
+                // after the arrival from below.
+                excess = done - (t + cfg.alpha + cfg.beta * sizeof(double));
+            } else {
+                // Hold the receiver in its wait for ~5 ms of wall time, and
+                // put the send well ahead of its virtual clock.
+                usleep(5000);
+                xmpi::vtime_add(5e-3);
+                ASSERT_EQ(MPI_Send(&t, 1, MPI_DOUBLE, 0, 0, MPI_COMM_WORLD), MPI_SUCCESS);
+                t = MPI_Wtime();
+                ASSERT_EQ(MPI_Send(&t, 1, MPI_DOUBLE, 0, 2, MPI_COMM_WORLD), MPI_SUCCESS);
+            }
+        },
+        cfg);
+    double const budget = std::chrono::duration<double>(xd::kWaitSpinBudget).count();
+    EXPECT_LT(excess, budget / 2) << "the spin's CPU time leaked into the virtual clock";
 }
 
 // ---------------------------------------------------------------------------
