@@ -216,7 +216,7 @@ bool Schedule::advance(bool blocking, int* err) {
                     break;
                 }
                 RankState* const rs = tls_rank();
-                charge_compute(rs);
+                charge_call(rs);
                 std::uint64_t const bytes = static_cast<std::uint64_t>(st.count) *
                                             static_cast<std::uint64_t>(st.type->size);
                 // Publication costs the producer nothing; consumers price
@@ -241,7 +241,7 @@ bool Schedule::advance(bool blocking, int* err) {
                     break;
                 }
                 RankState* const rs = tls_rank();
-                charge_compute(rs);
+                charge_call(rs);
                 // Snapshot the epoch's fields *before* acking: the ack
                 // releases the producer to overwrite them.
                 double const arrival = st.cell->arrival;

@@ -69,6 +69,7 @@ using xmpi::detail::alg::local_copy;
 // ---------------------------------------------------------------------------
 
 int MPI_Barrier(MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -98,6 +99,7 @@ struct IbarrierState {
 }  // namespace
 
 int MPI_Ibarrier(MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (request == nullptr) return MPI_ERR_REQUEST;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
@@ -179,6 +181,7 @@ int MPI_Ibarrier(MPI_Comm comm, MPI_Request* request) {
 // coll_seq so cached and fresh schedules emit identical tags.
 
 int MPI_Bcast(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     if (root < 0 || root >= p) return MPI_ERR_ROOT;
@@ -206,6 +209,7 @@ int MPI_Bcast(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm) 
 int MPI_Gatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                 const int* recvcounts, const int* displs, MPI_Datatype recvtype, int root,
                 MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -228,6 +232,7 @@ int MPI_Gatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
 
 int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm) {
+    CallScope const call;
     MPI_Comm const rcomm = resolve(comm);
     if (rcomm == nullptr) return MPI_ERR_COMM;
     int const p = rcomm->size();
@@ -241,6 +246,7 @@ int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* 
 int MPI_Scatterv(const void* sendbuf, const int* sendcounts, const int* displs,
                  MPI_Datatype sendtype, void* recvbuf, int recvcount, MPI_Datatype recvtype,
                  int root, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -264,6 +270,7 @@ int MPI_Scatterv(const void* sendbuf, const int* sendcounts, const int* displs,
 
 int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                 int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm) {
+    CallScope const call;
     MPI_Comm const rcomm = resolve(comm);
     if (rcomm == nullptr) return MPI_ERR_COMM;
     int const p = rcomm->size();
@@ -281,6 +288,7 @@ int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
 
 int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                   int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -311,6 +319,7 @@ int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, voi
 
 int MPI_Allgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                    const int* recvcounts, const int* displs, MPI_Datatype recvtype, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -343,6 +352,7 @@ int MPI_Allgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
 
 int MPI_Alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                  int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     std::uint64_t const seq = comm->coll_seq++;
     std::size_t const bytes =
@@ -368,6 +378,7 @@ int MPI_Alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void
 int MPI_Alltoallv(const void* sendbuf, const int* sendcounts, const int* sdispls,
                   MPI_Datatype sendtype, void* recvbuf, const int* recvcounts, const int* rdispls,
                   MPI_Datatype recvtype, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -396,6 +407,7 @@ int MPI_Alltoallv(const void* sendbuf, const int* sendcounts, const int* sdispls
 int MPI_Alltoallw(const void* sendbuf, const int* sendcounts, const int* sdispls,
                   const MPI_Datatype* sendtypes, void* recvbuf, const int* recvcounts,
                   const int* rdispls, const MPI_Datatype* recvtypes, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -429,6 +441,7 @@ int MPI_Alltoallw(const void* sendbuf, const int* sendcounts, const int* sdispls
 
 int MPI_Reduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                int root, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
     std::uint64_t const seq = comm->coll_seq++;
@@ -454,6 +467,7 @@ int MPI_Reduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type,
 
 int MPI_Allreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                   MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     std::uint64_t const seq = comm->coll_seq++;
     void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
@@ -478,6 +492,7 @@ int MPI_Allreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype ty
 
 int MPI_Scan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
              MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -509,6 +524,7 @@ int MPI_Scan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, M
 
 int MPI_Exscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -532,6 +548,7 @@ int MPI_Exscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type,
 
 int MPI_Reduce_scatter_block(const void* sendbuf, void* recvbuf, int recvcount, MPI_Datatype type,
                              MPI_Op op, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -648,6 +665,7 @@ int nb_entry(MPI_Comm& comm, MPI_Request* request) {
 
 int MPI_Ibcast(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm,
                MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
     std::uint64_t const seq = comm->coll_seq++;
@@ -666,6 +684,7 @@ int MPI_Ibcast(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm,
 int MPI_Igatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                  const int* recvcounts, const int* displs, MPI_Datatype recvtype, int root,
                  MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -694,6 +713,7 @@ int MPI_Igatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void
 int MPI_Igather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                 int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm,
                 MPI_Request* request) {
+    CallScope const call;
     MPI_Comm const rcomm = resolve(comm);
     if (rcomm == nullptr) return MPI_ERR_COMM;
     int const p = rcomm->size();
@@ -708,6 +728,7 @@ int MPI_Igather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
 int MPI_Iscatterv(const void* sendbuf, const int* sendcounts, const int* displs,
                   MPI_Datatype sendtype, void* recvbuf, int recvcount, MPI_Datatype recvtype,
                   int root, MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -736,6 +757,7 @@ int MPI_Iscatterv(const void* sendbuf, const int* sendcounts, const int* displs,
 int MPI_Iscatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                  int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm,
                  MPI_Request* request) {
+    CallScope const call;
     MPI_Comm const rcomm = resolve(comm);
     if (rcomm == nullptr) return MPI_ERR_COMM;
     int const p = rcomm->size();
@@ -749,6 +771,7 @@ int MPI_Iscatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void
 int MPI_Iallgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                     const int* recvcounts, const int* displs, MPI_Datatype recvtype, MPI_Comm comm,
                     MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -775,6 +798,7 @@ int MPI_Iallgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, v
 
 int MPI_Iallgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                    int recvcount, MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     int const r = comm->rank();
     std::uint64_t const seq = comm->coll_seq++;
@@ -798,6 +822,7 @@ int MPI_Iallgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
 int MPI_Ialltoallv(const void* sendbuf, const int* sendcounts, const int* sdispls,
                    MPI_Datatype sendtype, void* recvbuf, const int* recvcounts, const int* rdispls,
                    MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -823,6 +848,7 @@ int MPI_Ialltoallv(const void* sendbuf, const int* sendcounts, const int* sdispl
 
 int MPI_Ialltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                   int recvcount, MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     std::uint64_t const seq = comm->coll_seq++;
     std::size_t const bytes =
@@ -893,6 +919,7 @@ int nb_reduction(MPI_Comm comm, std::uint64_t seq, std::vector<int> sources, con
 
 int MPI_Ireduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                 int root, MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
     std::uint64_t const seq = comm->coll_seq++;
@@ -913,6 +940,7 @@ int MPI_Ireduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type
 
 int MPI_Iallreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                    MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     std::uint64_t const seq = comm->coll_seq++;
     void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
@@ -932,6 +960,7 @@ int MPI_Iallreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype t
 
 int MPI_Iscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
               MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();
@@ -1173,6 +1202,7 @@ int MPI_Scatter_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, 
 
 int MPI_Iexscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                 MPI_Comm comm, MPI_Request* request) {
+    CallScope const call;
     if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
     int const r = comm->rank();

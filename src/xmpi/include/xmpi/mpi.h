@@ -564,6 +564,9 @@ int XMPI_T_tune_reset(void);
 //                   traced run when read outside a rank body).
 //   p2p.wait_parks  blocking waits that outlasted the spin and parked on
 //                   the mailbox condition variable (same scoping).
+//   vtime.cpu_samples  thread-CPU clock reads the virtual clock made for
+//                   the rank (same scoping): at most one per MPI call, plus
+//                   one before a blocking wait and one per wake-up.
 //   sim.* tune.*    process-wide simulator / feedback-loop accounting (the
 //                   XMPI_T_sim_stats / XMPI_T_tune_stats fields).
 //   trace.*         ring accounting (events recorded / dropped).

@@ -29,6 +29,15 @@ namespace xmpi {
 /// time* multiplied by `compute_scale` (thread CPU time is immune to
 /// oversubscribed scheduling, so a single-core host still attributes each
 /// rank only its own work).
+///
+/// Compute is charged at MPI call boundaries, not per message: the first
+/// point in an MPI call that stamps the virtual clock (a send, a posted
+/// receive, a completion, a probe) charges the CPU time since the previous
+/// charge, and MPI_Wtime / vtime_now always do. Library CPU spent later in
+/// the same call lands at the next blocking wait, which charges before it
+/// spins or parks, or at the next call. CPU burnt spinning or parked in a
+/// blocking wait is never charged. With `compute_scale = 0` virtual time is
+/// pure model arithmetic.
 struct Config {
     /// Per-message latency in seconds (default calibrated to a 100 Gbit/s
     /// OmniPath-class interconnect as used in the paper's evaluation).
@@ -61,7 +70,8 @@ struct Config {
     /// network. Overridable per process by XMPI_RANKS_PER_NODE / XMPI_NODES
     /// and the XMPI_T_topo_set() control call (which takes precedence).
     int ranks_per_node = 0;
-    /// Multiplier applied to measured thread CPU time.
+    /// Multiplier applied to measured thread CPU time (charged per MPI call,
+    /// see above).
     double compute_scale = 1.0;
     /// Stack size per rank thread in bytes.
     std::size_t stack_size = 1u << 20;

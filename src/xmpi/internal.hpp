@@ -187,6 +187,9 @@ struct RankState {
     // Virtual clock.
     VTime vnow;
     double last_cpu = 0.0;  // last sampled thread CPU time
+    /// Thread-CPU clock reads made for this rank (the `vtime.cpu_samples`
+    /// pvar); each one is a syscall.
+    std::uint64_t cpu_samples = 0;
 
     std::atomic<bool> dead{false};
 
@@ -262,8 +265,9 @@ struct Universe {
 /// Thread-local pointer to the calling rank's state (null outside ranks).
 RankState*& tls_rank();
 
-/// Samples the calling thread's CPU clock in seconds.
-double thread_cpu_now();
+/// Samples the calling thread's CPU clock in seconds, counted in
+/// `rs->cpu_samples`.
+double thread_cpu_now(RankState* rs);
 
 /// Advances the calling rank's virtual clock by the CPU time consumed since
 /// the last charge.
@@ -272,6 +276,39 @@ void charge_compute(RankState* rs);
 /// Re-anchors the CPU sample without charging it: CPU burnt spinning or
 /// parked in a blocking wait is waiting time, not compute.
 void discard_compute(RankState* rs);
+
+/// Compute is charged once per MPI call, not once per message: reading the
+/// thread-CPU clock is a syscall. Public entries that can stamp the virtual
+/// clock open a CallScope; the first charge_call inside it charges, the
+/// later ones in the same call are free. Nested entries (MPI_Gather →
+/// MPI_Gatherv, MPI_Sendrecv → MPI_Send) join the outermost scope. Library
+/// CPU spent after that charge lands at the next pre-block charge
+/// (mailbox_wait) or the next call. Thread-local, not in RankState: a
+/// progress worker adopts its owner's RankState.
+struct CallCharge {
+    int depth = 0;
+    bool charged = false;  // the outermost open call has charged
+};
+inline constinit thread_local CallCharge tls_call{};
+
+class CallScope {
+public:
+    CallScope() { ++tls_call.depth; }
+    ~CallScope() {
+        if (--tls_call.depth == 0) tls_call.charged = false;
+    }
+    CallScope(CallScope const&) = delete;
+    CallScope& operator=(CallScope const&) = delete;
+};
+
+/// charge_compute, at most once per open CallScope. Outside any scope (the
+/// calibration probes' internal schedules) it charges every time, as every
+/// stamp point did before; on a progress worker charge_compute is a no-op.
+inline void charge_call(RankState* rs) {
+    if (tls_call.charged) return;
+    charge_compute(rs);
+    tls_call.charged = tls_call.depth > 0;
+}
 
 /// Wakes every rank blocked on its mailbox (used on rank death / revoke so
 /// blocked operations re-evaluate their failure predicates).

@@ -14,10 +14,11 @@
 ///     moved since its last check, and notifiers skip the notify while
 ///     nobody is parked.
 ///   - The spin lasts at most kWaitSpinBudget per wait and only runs when
-///     the universe does not oversubscribe the cores (spin_waits). It calls
-///     nothing that charges compute, and the CPU burnt spinning or parked is
-///     re-anchored away afterwards (discard_compute), so virtual time sees
-///     it as waiting.
+///     the universe does not oversubscribe the cores (spin_waits).
+///   - The first failed check charges the call's compute so far (the rank is
+///     idle from there on, so the clock read is off the critical path). The
+///     CPU burnt spinning or parked is re-anchored away afterwards
+///     (discard_compute), so virtual time sees it as waiting.
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -118,10 +119,14 @@ bool spin_for_arrival(Mailbox& mb, std::uint64_t seen,
 }
 
 /// The one blocking-wait loop of the engine. `check()` is the full
-/// completion test: it may lock the mailbox, run progress and charge
-/// compute, and returns true once the wait is over (completed or failed).
-/// Between checks the rank spins, then parks, per the file header. With
-/// `poll` each park is bounded by kPollSlice.
+/// completion test: it may lock the mailbox and run progress, and returns
+/// true once the wait is over (completed or failed). Between checks the rank
+/// spins, then parks, per the file header. With `poll` each park is bounded
+/// by kPollSlice.
+///
+/// Compute: one charge_compute before the first spin or park, and one
+/// discard_compute after each spin or park (one for a spin that runs into a
+/// park). The CPU of a re-check that fails again counts as waiting.
 ///
 /// Wall-clock accounting: the steady clock is first read when a check fails,
 /// so a wait whose request is already complete pays zero clock reads. The
@@ -140,30 +145,34 @@ void mailbox_wait(RankState* self, int tag, std::uint64_t seq, bool poll, Check&
         if (check()) break;
         if (!waited) {
             waited = true;
+            charge_compute(self);
             t0 = clock::now();
             trace::ev(trace::Ev::wait_begin, -1, tag, 0, seq);
         }
-        if (self->universe->spin_waits && !parked) {
-            bool const moved = spin_for_arrival(mb, seen, t0 + kWaitSpinBudget);
+        bool const spun = self->universe->spin_waits && !parked;
+        if (spun && spin_for_arrival(mb, seen, t0 + kWaitSpinBudget)) {
             discard_compute(self);
-            if (moved) continue;
+            continue;
         }
+        bool slept = false;
         {
             std::unique_lock<std::mutex> lock(mb.m);
-            if (mb.arrivals.load(std::memory_order_relaxed) != seen) continue;
-            if (!parked) {
-                parked = true;
-                ++self->wait_parks;
+            if (mb.arrivals.load(std::memory_order_relaxed) == seen) {
+                if (!parked) {
+                    parked = true;
+                    ++self->wait_parks;
+                }
+                ++mb.sleepers;
+                if (poll) {
+                    mb.cv.wait_for(lock, kPollSlice);
+                } else {
+                    mb.cv.wait(lock);
+                }
+                --mb.sleepers;
+                slept = true;
             }
-            ++mb.sleepers;
-            if (poll) {
-                mb.cv.wait_for(lock, kPollSlice);
-            } else {
-                mb.cv.wait(lock);
-            }
-            --mb.sleepers;
         }
-        discard_compute(self);
+        if (spun || slept) discard_compute(self);
     }
     if (!waited) return;
     auto const ns = static_cast<std::uint64_t>(
@@ -223,7 +232,7 @@ bool inactive_persistent(xmpi_request_t const* req) {
 /// between post_recv (fresh one-shot receives) and MPI_Start on a
 /// persistent receive (re-arming the same request object).
 void attach_recv(RankState* self, xmpi_request_t* req) {
-    charge_compute(self);
+    charge_call(self);
     std::shared_ptr<SsendToken> tok;
     {
         std::lock_guard<std::mutex> lock(self->mbox.m);
@@ -266,7 +275,7 @@ int deposit(RankState* sender, MPI_Comm comm, int context, int dest_comm_rank, i
     double const beta = intra ? u->cfg.beta_intra : u->cfg.beta;
     double const o = intra ? u->cfg.o_intra : u->cfg.o;
 
-    charge_compute(sender);
+    charge_call(sender);
     sender->vnow += o;
 
     std::size_t const bytes = static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
@@ -357,7 +366,7 @@ int wait_one(xmpi_request_t* req, MPI_Status* status) {
     }
     RankState* self = tls_rank();
     Universe* u = self->universe;
-    charge_compute(self);
+    charge_call(self);
 
     switch (req->kind) {
         case xmpi_request_t::Kind::send: {
@@ -440,7 +449,7 @@ int test_one(xmpi_request_t* req, int* flag, MPI_Status* status) {
     }
     RankState* self = tls_rank();
     Universe* u = self->universe;
-    charge_compute(self);
+    charge_call(self);
 
     auto consume_success = [&](double completion, MPI_Status const* st) {
         self->vnow.advance_to(completion);
@@ -574,6 +583,7 @@ bool any_member_dead(MPI_Comm comm) {
 using namespace xmpi::detail;
 
 int MPI_Send(const void* buf, int count, MPI_Datatype type, int dest, int tag, MPI_Comm comm) {
+    CallScope const call;
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (dest == MPI_PROC_NULL) return MPI_SUCCESS;
@@ -582,6 +592,7 @@ int MPI_Send(const void* buf, int count, MPI_Datatype type, int dest, int tag, M
 }
 
 int MPI_Ssend(const void* buf, int count, MPI_Datatype type, int dest, int tag, MPI_Comm comm) {
+    CallScope const call;
     MPI_Request req = MPI_REQUEST_NULL;
     if (int rc = MPI_Issend(buf, count, type, dest, tag, comm, &req); rc != MPI_SUCCESS) return rc;
     return wait_one(req, MPI_STATUS_IGNORE);
@@ -589,6 +600,7 @@ int MPI_Ssend(const void* buf, int count, MPI_Datatype type, int dest, int tag, 
 
 int MPI_Recv(void* buf, int count, MPI_Datatype type, int source, int tag, MPI_Comm comm,
              MPI_Status* status) {
+    CallScope const call;
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (source == MPI_PROC_NULL) {
@@ -602,6 +614,7 @@ int MPI_Recv(void* buf, int count, MPI_Datatype type, int source, int tag, MPI_C
 
 int MPI_Isend(const void* buf, int count, MPI_Datatype type, int dest, int tag, MPI_Comm comm,
               MPI_Request* request) {
+    CallScope const call;
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (request == nullptr) return MPI_ERR_REQUEST;
@@ -621,6 +634,7 @@ int MPI_Isend(const void* buf, int count, MPI_Datatype type, int dest, int tag, 
 
 int MPI_Issend(const void* buf, int count, MPI_Datatype type, int dest, int tag, MPI_Comm comm,
                MPI_Request* request) {
+    CallScope const call;
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (request == nullptr) return MPI_ERR_REQUEST;
@@ -645,6 +659,7 @@ int MPI_Issend(const void* buf, int count, MPI_Datatype type, int dest, int tag,
 
 int MPI_Irecv(void* buf, int count, MPI_Datatype type, int source, int tag, MPI_Comm comm,
               MPI_Request* request) {
+    CallScope const call;
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (request == nullptr) return MPI_ERR_REQUEST;
@@ -663,6 +678,7 @@ int MPI_Irecv(void* buf, int count, MPI_Datatype type, int source, int tag, MPI_
 int MPI_Sendrecv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, int dest, int sendtag,
                  void* recvbuf, int recvcount, MPI_Datatype recvtype, int source, int recvtag,
                  MPI_Comm comm, MPI_Status* status) {
+    CallScope const call;
     MPI_Request rreq = MPI_REQUEST_NULL;
     if (int rc = MPI_Irecv(recvbuf, recvcount, recvtype, source, recvtag, comm, &rreq);
         rc != MPI_SUCCESS)
@@ -675,12 +691,13 @@ int MPI_Sendrecv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, int 
 }
 
 int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
+    CallScope const call;
     // Blocking probe: an Iprobe scan plus failure checks per mailbox wait.
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     RankState* self = tls_rank();
     Universe* u = self->universe;
-    charge_compute(self);
+    charge_call(self);
     int rc = MPI_SUCCESS;
     mailbox_wait(self, tag, static_cast<std::uint64_t>(comm->context), false, [&] {
         std::lock_guard<std::mutex> lock(self->mbox.m);
@@ -706,16 +723,17 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
 }
 
 int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status) {
+    CallScope const call;
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (flag == nullptr) return MPI_ERR_ARG;
     RankState* self = tls_rank();
-    charge_compute(self);
+    charge_call(self);
     std::lock_guard<std::mutex> lock(self->mbox.m);
     for (auto& env : self->mbox.unexpected) {
         if (match(comm->context, source, tag, env)) {
-            // Only observable once virtually arrived; otherwise report absent
-            // and charge no time (callers poll).
+            // Any matched envelope is reported, and the probe advances the
+            // clock to its arrival, as a receive would.
             *flag = 1;
             if (status != nullptr) {
                 *status =
@@ -742,6 +760,7 @@ bool keeps_handle(MPI_Request req) { return req != MPI_REQUEST_NULL && req->pers
 }  // namespace
 
 int MPI_Wait(MPI_Request* request, MPI_Status* status) {
+    CallScope const call;
     if (request == nullptr) return MPI_ERR_REQUEST;
     bool const keep = keeps_handle(*request);
     int const rc = wait_one(*request, status);
@@ -750,6 +769,7 @@ int MPI_Wait(MPI_Request* request, MPI_Status* status) {
 }
 
 int MPI_Test(MPI_Request* request, int* flag, MPI_Status* status) {
+    CallScope const call;
     if (request == nullptr || flag == nullptr) return MPI_ERR_REQUEST;
     if (*request == MPI_REQUEST_NULL) {
         *flag = 1;
@@ -762,6 +782,7 @@ int MPI_Test(MPI_Request* request, int* flag, MPI_Status* status) {
 }
 
 int MPI_Waitall(int count, MPI_Request* requests, MPI_Status* statuses) {
+    CallScope const call;
     int first_error = MPI_SUCCESS;
     for (int i = 0; i < count; ++i) {
         MPI_Status* st = statuses == MPI_STATUSES_IGNORE ? MPI_STATUS_IGNORE : &statuses[i];
@@ -774,6 +795,7 @@ int MPI_Waitall(int count, MPI_Request* requests, MPI_Status* statuses) {
 }
 
 int MPI_Testall(int count, MPI_Request* requests, int* flag, MPI_Status* statuses) {
+    CallScope const call;
     if (flag == nullptr) return MPI_ERR_ARG;
     // All-or-nothing semantics would require non-consuming tests; xmpi
     // implements the common pattern: report true only when every request is
@@ -799,6 +821,7 @@ int MPI_Testall(int count, MPI_Request* requests, int* flag, MPI_Status* statuse
 }
 
 int MPI_Waitany(int count, MPI_Request* requests, int* index, MPI_Status* status) {
+    CallScope const call;
     if (index == nullptr) return MPI_ERR_ARG;
     // Null and inactive persistent requests are ignored (MPI semantics);
     // with nothing active there is nothing to wait for.
@@ -829,6 +852,7 @@ int MPI_Waitany(int count, MPI_Request* requests, int* index, MPI_Status* status
 }
 
 int MPI_Testany(int count, MPI_Request* requests, int* index, int* flag, MPI_Status* status) {
+    CallScope const call;
     if (index == nullptr || flag == nullptr) return MPI_ERR_ARG;
     *flag = 0;
     *index = MPI_UNDEFINED;
@@ -855,6 +879,7 @@ int MPI_Testany(int count, MPI_Request* requests, int* index, int* flag, MPI_Sta
 
 int MPI_Waitsome(int incount, MPI_Request* requests, int* outcount, int* indices,
                  MPI_Status* statuses) {
+    CallScope const call;
     if (outcount == nullptr || indices == nullptr) return MPI_ERR_ARG;
     int index = MPI_UNDEFINED;
     MPI_Status st;
@@ -889,6 +914,7 @@ int MPI_Waitsome(int incount, MPI_Request* requests, int* outcount, int* indices
 }
 
 int MPI_Request_free(MPI_Request* request) {
+    CallScope const call;
     if (request == nullptr) return MPI_ERR_REQUEST;
     xmpi_request_t* req = *request;
     // Freeing MPI_REQUEST_NULL is erroneous per the standard — this is what
@@ -923,6 +949,7 @@ int MPI_Request_free(MPI_Request* request) {
 // ---------------------------------------------------------------------------
 
 int MPI_Start(MPI_Request* request) {
+    CallScope const call;
     if (request == nullptr || *request == MPI_REQUEST_NULL) return MPI_ERR_REQUEST;
     xmpi_request_t* req = *request;
     // Starting a non-persistent request, or one whose previous start has not
@@ -933,6 +960,7 @@ int MPI_Start(MPI_Request* request) {
 }
 
 int MPI_Startall(int count, MPI_Request* requests) {
+    CallScope const call;
     if (count > 0 && requests == nullptr) return MPI_ERR_REQUEST;
     int first_error = MPI_SUCCESS;
     for (int i = 0; i < count; ++i) {

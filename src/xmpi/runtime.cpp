@@ -43,7 +43,8 @@ RankState*& tls_rank() {
     return rs;
 }
 
-double thread_cpu_now() {
+double thread_cpu_now(RankState* rs) {
+    ++rs->cpu_samples;
     timespec ts;
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
     return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
@@ -56,14 +57,14 @@ void charge_compute(RankState* rs) {
     // anchor and charge engine bookkeeping as application compute. The
     // owner's thread keeps charging its real compute at its next MPI call.
     if (progress::on_progress_thread()) return;
-    double const cpu = thread_cpu_now();
+    double const cpu = thread_cpu_now(rs);
     rs->vnow += (cpu - rs->last_cpu) * rs->universe->cfg.compute_scale;
     rs->last_cpu = cpu;
 }
 
 void discard_compute(RankState* rs) {
     if (progress::on_progress_thread()) return;
-    rs->last_cpu = thread_cpu_now();
+    rs->last_cpu = thread_cpu_now(rs);
 }
 
 void wake_all(Universe* u) {
@@ -150,7 +151,7 @@ void* rank_main(void* vp) {
     auto* arg = static_cast<ThreadArg*>(vp);
     RankState* rs = arg->universe->ranks[static_cast<std::size_t>(arg->rank)].get();
     detail::tls_rank() = rs;
-    rs->last_cpu = detail::thread_cpu_now();
+    rs->last_cpu = detail::thread_cpu_now(rs);
     try {
         (*arg->body)(arg->rank);
     } catch (detail::RankKilled const&) {

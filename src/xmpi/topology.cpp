@@ -112,6 +112,7 @@ struct NeighborCounts {
 int MPI_Neighbor_alltoallv(const void* sendbuf, const int* sendcounts, const int* sdispls,
                            MPI_Datatype sendtype, void* recvbuf, const int* recvcounts,
                            const int* rdispls, MPI_Datatype recvtype, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     alg::Schedule s(comm, comm->coll_seq++);
     build_neighbor_exchange(s, sendbuf, sendcounts, sdispls, sendtype, recvbuf, recvcounts,
@@ -121,6 +122,7 @@ int MPI_Neighbor_alltoallv(const void* sendbuf, const int* sendcounts, const int
 
 int MPI_Neighbor_alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                           int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     NeighborCounts const nc(comm, sendcount, recvcount, /*uniform_send=*/false);
     alg::Schedule s(comm, comm->coll_seq++);
@@ -131,6 +133,7 @@ int MPI_Neighbor_alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendt
 
 int MPI_Neighbor_allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
                            void* recvbuf, int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
+    CallScope const call;
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     NeighborCounts const nc(comm, sendcount, recvcount, /*uniform_send=*/true);
     alg::Schedule s(comm, comm->coll_seq++);
@@ -142,6 +145,7 @@ int MPI_Neighbor_allgather(const void* sendbuf, int sendcount, MPI_Datatype send
 int MPI_Ineighbor_alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
                            void* recvbuf, int recvcount, MPI_Datatype recvtype, MPI_Comm comm,
                            MPI_Request* request) {
+    CallScope const call;
     if (request == nullptr) return MPI_ERR_REQUEST;
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     NeighborCounts const nc(comm, sendcount, recvcount, /*uniform_send=*/false);
@@ -154,6 +158,7 @@ int MPI_Ineighbor_alltoall(const void* sendbuf, int sendcount, MPI_Datatype send
 int MPI_Ineighbor_allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
                             void* recvbuf, int recvcount, MPI_Datatype recvtype, MPI_Comm comm,
                             MPI_Request* request) {
+    CallScope const call;
     if (request == nullptr) return MPI_ERR_REQUEST;
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     NeighborCounts const nc(comm, sendcount, recvcount, /*uniform_send=*/true);

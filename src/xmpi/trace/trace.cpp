@@ -360,6 +360,7 @@ void end_universe(Universe& u) {
         run.dropped += rs->trace_ring->dropped();
         run.wait_ns += rs->wait_time_ns;
         run.wait_parks += rs->wait_parks;
+        run.cpu_samples += rs->cpu_samples;
         auto snap = rs->trace_ring->snapshot();
         run.records.insert(run.records.end(), snap.begin(), snap.end());
         rs->trace_ring.reset();
@@ -519,9 +520,10 @@ std::vector<Pvar> build_pvar_table() {
                  },
                  nullptr});
 
-    // Per-rank wait accounting: the calling rank's value inside a rank body,
-    // the last traced universe's sum outside one; resettable in-rank.
-    auto wait_pvar = [&t](char const* name, std::uint64_t RankState::*field,
+    // Per-rank wait and clock accounting: the calling rank's value inside a
+    // rank body, the last traced universe's sum outside one; resettable
+    // in-rank.
+    auto rank_pvar = [&t](char const* name, std::uint64_t RankState::*field,
                           std::uint64_t trace::LastRun::*sum) {
         t.push_back({name, 1,
                      [field, sum](unsigned long long* out) {
@@ -536,8 +538,9 @@ std::vector<Pvar> build_pvar_table() {
                          return MPI_SUCCESS;
                      }});
     };
-    wait_pvar("p2p.wait_time_ns", &RankState::wait_time_ns, &trace::LastRun::wait_ns);
-    wait_pvar("p2p.wait_parks", &RankState::wait_parks, &trace::LastRun::wait_parks);
+    rank_pvar("p2p.wait_time_ns", &RankState::wait_time_ns, &trace::LastRun::wait_ns);
+    rank_pvar("p2p.wait_parks", &RankState::wait_parks, &trace::LastRun::wait_parks);
+    rank_pvar("vtime.cpu_samples", &RankState::cpu_samples, &trace::LastRun::cpu_samples);
 
     auto sim_field = [](int idx) {
         return [idx](unsigned long long* out) {

@@ -183,6 +183,7 @@ struct LastRun {
     std::uint64_t dropped = 0;
     std::uint64_t wait_ns = 0;   ///< summed RankState::wait_time_ns
     std::uint64_t wait_parks = 0;  ///< summed RankState::wait_parks
+    std::uint64_t cpu_samples = 0;  ///< summed RankState::cpu_samples
 };
 
 /// Copy of the last traced run's merged state (empty/invalid if none).

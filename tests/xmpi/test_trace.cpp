@@ -5,8 +5,9 @@
 /// well-formedness and send/recv flow pairing, pvar enumeration coverage of
 /// every counter reachable through the legacy stats structs, byte-identity
 /// of counters between traced and untraced runs, blocking-wait wall-time
-/// accounting, warn-once validation of the trace environment knobs, and the
-/// per-invocation critical-path attribution replay.
+/// accounting, thread-CPU clock reads per MPI call, warn-once validation of
+/// the trace environment knobs, and the per-invocation critical-path
+/// attribution replay.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -486,6 +488,7 @@ TEST(Trace, PvarRegistryCoversStatsStructs) {
         "counters.schedule_peak_scratch_bytes.max",
         "p2p.wait_time_ns",
         "p2p.wait_parks",
+        "vtime.cpu_samples",
         "sim.dry_builds",
         "sim.tape_steps",
         "sim.events",
@@ -686,6 +689,20 @@ TEST(Trace, WaitTimeAccountedAndResettable) {
     });
 }
 
+/// Returns once world rank `w` is parked on its mailbox condition variable.
+/// A fixed sleep is no proof: under load the sleeper can wake before the
+/// peer even reaches its wait.
+void wait_until_parked(int w) {
+    xd::RankState* const peer = xd::tls_rank()->universe->ranks[static_cast<std::size_t>(w)].get();
+    for (;;) {
+        {
+            std::lock_guard<std::mutex> lock(peer->mbox.m);
+            if (peer->mbox.sleepers > 0) return;
+        }
+        usleep(100);
+    }
+}
+
 TEST(Trace, WaitParksCountsOnlyWaitsThatReachTheConditionVariable) {
     int const pi = pvar_index("p2p.wait_parks");
     ASSERT_GE(pi, 0);
@@ -705,7 +722,54 @@ TEST(Trace, WaitParksCountsOnlyWaitsThatReachTheConditionVariable) {
             ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 0, 1, MPI_COMM_WORLD), MPI_SUCCESS);
             ASSERT_EQ(MPI_Recv(&v, 1, MPI_INT, 0, 2, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
                       MPI_SUCCESS);
-            usleep(5000);
+            wait_until_parked(0);
+            ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 0, 3, MPI_COMM_WORLD), MPI_SUCCESS);
+        }
+    });
+}
+
+// The virtual clock reads the thread-CPU clock (a syscall) at most once per
+// MPI call, nested entries included, plus once before a blocking wait and
+// once per wake-up.
+TEST(Trace, CpuClockIsReadOncePerCall) {
+    int const ci = pvar_index("vtime.cpu_samples");
+    ASSERT_GE(ci, 0);
+    xmpi::run(2, [&](int r) {
+        int v = r;
+        if (r == 0) {
+            ASSERT_EQ(XMPI_T_pvar_reset(ci), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 1, 1, MPI_COMM_WORLD), MPI_SUCCESS);
+            EXPECT_EQ(pvar_read_scalar(ci), 1ull) << "eager MPI_Send";
+
+            ASSERT_EQ(MPI_Probe(1, 2, MPI_COMM_WORLD, MPI_STATUS_IGNORE), MPI_SUCCESS);
+            ASSERT_EQ(XMPI_T_pvar_reset(ci), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Recv(&v, 1, MPI_INT, 1, 2, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                      MPI_SUCCESS);
+            EXPECT_EQ(pvar_read_scalar(ci), 1ull) << "MPI_Recv of a queued message";
+
+            ASSERT_EQ(XMPI_T_pvar_reset(ci), MPI_SUCCESS);
+            int flag = 0;
+            ASSERT_EQ(MPI_Iprobe(1, 9, MPI_COMM_WORLD, &flag, MPI_STATUS_IGNORE), MPI_SUCCESS);
+            EXPECT_EQ(pvar_read_scalar(ci), 1ull) << "MPI_Iprobe";
+
+            ASSERT_EQ(XMPI_T_pvar_reset(ci), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Gather(&v, 1, MPI_INT, nullptr, 1, MPI_INT, 1, MPI_COMM_WORLD),
+                      MPI_SUCCESS);
+            EXPECT_EQ(pvar_read_scalar(ci), 1ull) << "MPI_Gather (-> MPI_Gatherv) on a non-root";
+
+            ASSERT_EQ(XMPI_T_pvar_reset(ci), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Recv(&v, 1, MPI_INT, 1, 3, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                      MPI_SUCCESS);
+            EXPECT_EQ(pvar_read_scalar(ci), 3ull)
+                << "a receive that parks once: entry, pre-block charge, one wake-up";
+        } else {
+            ASSERT_EQ(MPI_Recv(&v, 1, MPI_INT, 0, 1, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                      MPI_SUCCESS);
+            ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 0, 2, MPI_COMM_WORLD), MPI_SUCCESS);
+            std::vector<int> all(2);
+            ASSERT_EQ(MPI_Gather(&v, 1, MPI_INT, all.data(), 1, MPI_INT, 1, MPI_COMM_WORLD),
+                      MPI_SUCCESS);
+            wait_until_parked(0);
             ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 0, 3, MPI_COMM_WORLD), MPI_SUCCESS);
         }
     });
