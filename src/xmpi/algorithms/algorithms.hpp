@@ -218,6 +218,40 @@ void append_binomial_bcast(Schedule& s, void* buf, int count, MPI_Datatype type,
 void append_binomial_reduce(Schedule& s, void const* input, void* recvbuf, int count,
                             MPI_Datatype type, MPI_Op op, int root, int tag_base);
 
+/// One message of build_neighbor_exchange: partner rank, buffer, count, type.
+struct Msg {
+    int peer;
+    void const* buf;
+    int count;
+    MPI_Datatype type;
+};
+
+/// Appends a one-round exchange: posts a receive per source (`recv(j)`,
+/// j < nrecv), deposits a send per destination (`send(i)`, i < nsend), then
+/// drains the receives in source order, all at step tag 0. Self-loops work
+/// because the receives are posted before the sends run. This is the
+/// neighborhood collectives' shape, and that of the I-variants that put
+/// every block on the wire at initiation.
+template <typename Recv, typename Send>
+void build_neighbor_exchange(Schedule& s, int nrecv, Recv const& recv, int nsend,
+                             Send const& send) {
+    s.reserve(s.step_count() + 2 * static_cast<std::size_t>(nrecv) + static_cast<std::size_t>(nsend),
+              static_cast<std::size_t>(nrecv));
+    int first = 0;
+    for (int j = 0; j < nrecv; ++j) {
+        Msg const m = recv(j);
+        // Receive buffers are the caller's writable ones; Msg is shared with
+        // the send side.
+        int const slot = s.post(m.peer, 0, const_cast<void*>(m.buf), m.count, m.type);
+        if (j == 0) first = slot;
+    }
+    for (int i = 0; i < nsend; ++i) {
+        Msg const m = send(i);
+        s.send(m.peer, 0, m.buf, m.count, m.type);
+    }
+    for (int j = 0; j < nrecv; ++j) s.wait(first + j);  // post() hands out consecutive slots
+}
+
 // ---------------------------------------------------------------------------
 // Shared datatype helpers (also used by collectives.cpp).
 // ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ bool Schedule::advance(bool blocking, int* err) {
             }
             case Step::Kind::local:
                 trace::ev(trace::Ev::step_local, -1, -1, 0, seq_);
-                rc = st.local_fn();
+                rc = locals_[static_cast<std::size_t>(st.slot)]();
                 break;
             case Step::Kind::copy_pub: {
                 if (st.cell == nullptr) st.cell = shm_block_->cell(st.tag_step);

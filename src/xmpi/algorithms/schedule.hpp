@@ -84,14 +84,13 @@ struct Step {
                        ///< copy_get: producer comm rank (trace only)
     int tag_step = 0;  ///< step component of the collective tag; copy steps:
                        ///< cell id (scope tag offset + builder cell id)
+    int count = 0;
+    int slot = -1;  ///< post_recv / wait_recv: request slot; local: index of its function
     void const* sbuf = nullptr;
     void* rbuf = nullptr;
-    int count = 0;
     MPI_Datatype type = nullptr;
-    int slot = -1;  ///< post_recv / wait_recv: request slot
     long long src_off = 0;  ///< copy_get: byte offset into the published buffer
     shm::Cell* cell = nullptr;  ///< copy steps: resolved lazily per binding
-    std::function<int()> local_fn;
 };
 
 /// A fully materialized collective algorithm instance: the step program plus
@@ -140,6 +139,13 @@ public:
     /// on first use); valid for the schedule's lifetime. Returns nullptr for
     /// size 0.
     std::byte* alloc(std::size_t bytes);
+
+    /// Pre-sizes the step program and the request slots, for builders that
+    /// know their shape up front (one allocation each instead of growth).
+    void reserve(std::size_t steps, std::size_t slots) {
+        steps_.reserve(steps);
+        reqs_.reserve(slots);
+    }
 
     /// Total scratch bytes handed out by alloc() so far (the schedule's
     /// working-set size; reported via Counters::schedule_peak_scratch_bytes).
@@ -242,8 +248,9 @@ public:
         if (dry_ != nullptr) return;  // tapes carry costs, not computation
         Step s;
         s.kind = Step::Kind::local;
-        s.local_fn = std::move(fn);
-        steps_.push_back(std::move(s));
+        s.slot = static_cast<int>(locals_.size());
+        locals_.push_back(std::move(fn));
+        steps_.push_back(s);
     }
 
     // --- shared-memory copy steps (shm/shm.hpp) -------------------------
@@ -393,6 +400,9 @@ private:
     MPI_Comm comm_;
     std::uint64_t seq_;
     std::vector<Step> steps_;
+    /// Local steps' functions, kept out of Step so steps stay trivially
+    /// copyable and small.
+    std::vector<std::function<int()>> locals_;
     std::size_t pos_ = 0;
     int error_ = MPI_SUCCESS;
     std::vector<Chunk> arena_;

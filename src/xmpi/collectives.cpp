@@ -1,15 +1,22 @@
 /// @file collectives.cpp
-/// @brief Collective operations built on the internal point-to-point engine,
-/// so the virtual-time cost model prices them by their true message patterns.
-/// Bcast, reduce, allgather, allreduce and alltoall (blocking and i-variant)
-/// dispatch into the selectable algorithm layer in algorithms/ (binomial
-/// trees, pipelined rings, recursive doubling, Rabenseifner, Bruck — chosen
-/// per call by the analytic cost model, overridable via XMPI_ALG_* /
-/// XMPI_T_alg_set). The remaining collectives keep their fixed shapes:
-/// dissemination barrier, linear gather(v)/scatter(v), ring allgatherv,
-/// pairwise alltoallv/w, Hillis–Steele scans, and MPI_Ibarrier plus the
-/// other MPI_I* as progressable generalized requests.
-#include <algorithm>
+/// @brief The collectives of <xmpi/mpi.h> (the neighborhood ones live in
+/// topology.cpp), built on the internal point-to-point engine so the
+/// virtual-time cost model prices them by their true message patterns.
+///
+/// A collective runs one way: as an alg::Schedule. Each collective has one
+/// body, shared by its flavours (blocking, MPI_I*, MPI_*_init), that checks
+/// its arguments and hands a builder to start(), the single entry point
+/// that runs the schedule to completion, launches it as a one-shot request,
+/// or arms it as a persistent one. Bcast, reduce, allgather, allreduce and
+/// alltoall select an algorithm per call (algorithms/: cost model, XMPI_ALG_*,
+/// XMPI_T_alg_set) and reuse cached schedules. The rest have fixed shapes,
+/// built per call and never cached: dissemination barrier, linear
+/// gather(v)/scatter(v), ring allgatherv, pairwise alltoallv/w, Hillis–Steele
+/// scan and scan-then-shift exscan. A wait only progresses its own request
+/// and ranks may wait in different orders, so the I-variants of the
+/// multi-round shapes put every block on the wire at initiation instead:
+/// Iallgatherv and Ialltoallv are one all-peer exchange, and Iscan/Iexscan
+/// send each input to every higher rank and fold in rank order.
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -20,1214 +27,711 @@
 namespace xmpi::detail {
 namespace {
 
-int csend(MPI_Comm c, int dest, std::uint64_t seq, int step, void const* buf, int count,
-          MPI_Datatype t) {
-    return deposit(tls_rank(), c, c->context + 1, dest, coll_tag(seq, step), buf, count, t, nullptr,
-                   true);
-}
+using alg::at_offset;
+using alg::local_copy;
+using alg::Schedule;
 
-int crecv(MPI_Comm c, int src, std::uint64_t seq, int step, void* buf, int count, MPI_Datatype t) {
-    return recv_blocking(tls_rank(), c, c->context + 1, src, coll_tag(seq, step), buf, count, t,
-                         true, MPI_STATUS_IGNORE);
-}
+/// The flavours of a collective: run to completion (MPI_X), a one-shot
+/// request (MPI_IX), an inactive persistent request that MPI_Start re-arms
+/// (MPI_X_init).
+enum class Mode { block, nb, persist };
 
-int cirecv(MPI_Comm c, int src, std::uint64_t seq, int step, void* buf, int count, MPI_Datatype t,
-           xmpi_request_t** req) {
-    return post_recv(tls_rank(), c, c->context + 1, src, coll_tag(seq, step), buf, count, t, true,
-                     req);
-}
-
-/// Exchange with one partner: post receive first, then send, then wait.
-int csendrecv(MPI_Comm c, int partner_send, int partner_recv, std::uint64_t seq, int step,
-              void const* sbuf, int scount, void* rbuf, int rcount, MPI_Datatype t) {
-    xmpi_request_t* rreq = nullptr;
-    if (int rc = cirecv(c, partner_recv, seq, step, rbuf, rcount, t, &rreq); rc != MPI_SUCCESS)
-        return rc;
-    if (int rc = csend(c, partner_send, seq, step, sbuf, scount, t); rc != MPI_SUCCESS) {
-        wait_one(rreq, MPI_STATUS_IGNORE);
-        return rc;
-    }
-    return wait_one(rreq, MPI_STATUS_IGNORE);
-}
-
-int coll_entry(MPI_Comm& comm) {
+/// Validation shared by every collective: the request handle (I- and _init
+/// calls), the communicator, no unacknowledged dead member, and the root of
+/// a rooted collective (the others pass the default 0).
+int enter(Mode m, MPI_Comm& comm, MPI_Request* request, int root = 0) {
+    if (m != Mode::block && request == nullptr) return MPI_ERR_REQUEST;
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (any_member_dead(comm)) return MPIX_ERR_PROC_FAILED;
+    if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
     return MPI_SUCCESS;
+}
+
+/// The one way a collective runs. Takes the call's sequence number (every
+/// step tag derives from it), then:
+/// - with a `spec` (the algorithm families), selects the algorithm into
+///   spec->alg — selection sees the incremented sequence, as the tuner's
+///   generations expect — and serves blocking and I- calls from the
+///   communicator's schedule cache, building and offering on a miss; the
+///   blocking call is traced and observed as its family;
+/// - without one (fixed shapes), builds a fresh schedule per call, on the
+///   stack for a blocking call.
+/// Mode::block runs the schedule to completion, Mode::nb launches it as a
+/// generalized request (progress engine or wait/test), Mode::persist freezes
+/// selection and shape into an inactive persistent request.
+template <typename Build>
+int start(Mode m, MPI_Comm comm, alg::SchedSpec* spec, Build&& build, MPI_Request* request) {
+    CallScope const call;
+    std::uint64_t const seq = comm->coll_seq++;
+    std::size_t bytes = 0;
+    if (spec != nullptr) {
+        bytes = static_cast<std::size_t>(spec->count) * static_cast<std::size_t>(spec->type1->size);
+        MPI_Op const op = spec->op;
+        spec->alg = alg::select(spec->family, comm, bytes, op == nullptr || op->commutative,
+                                op == nullptr || op->builtin);
+    }
+    if (m == Mode::persist) {
+        auto s = std::make_shared<Schedule>(comm, seq);
+        if (int rc = build(*s); rc != MPI_SUCCESS) return rc;
+        return alg::launch_persistent(comm, std::move(s), request);
+    }
+    if (spec == nullptr) {
+        if (m == Mode::nb) {
+            auto s = std::make_shared<Schedule>(comm, seq);
+            int const rc = build(*s);
+            return alg::launch_nonblocking(comm, std::move(s), rc, request);
+        }
+        Schedule s(comm, seq);
+        int const rc = build(s);
+        return rc != MPI_SUCCESS ? rc : alg::run_blocking(s);
+    }
+    int err = MPI_SUCCESS;
+    if (m == Mode::nb) {
+        auto s = alg::acquire_schedule(comm, seq, *spec, &err, build);
+        return alg::launch_nonblocking(comm, std::move(s), err, request);
+    }
+    int const fam = static_cast<int>(spec->family);
+    trace::ev(trace::Ev::coll_enter, -1, -1, bytes, seq, fam, spec->alg);
+    auto s = alg::acquire_schedule(comm, seq, *spec, &err, build);
+    if (err == MPI_SUCCESS) err = alg::run_observed(*s, spec->family, spec->alg, bytes);
+    trace::ev(trace::Ev::coll_exit, -1, -1, bytes, seq, fam, spec->alg);
+    return err;
+}
+
+/// Copies the caller's own block into place: at initiation for blocking and
+/// I- calls, as an execution-time step for a persistent schedule so every
+/// MPI_Start re-reads the send buffer.
+template <typename Copy>
+void own_block(Mode m, Schedule& s, Copy const& copy) {
+    if (m == Mode::persist) {
+        s.local([copy] {
+            copy();
+            return MPI_SUCCESS;
+        });
+    } else {
+        copy();
+    }
+}
+
+/// Position of block `i` in a v-collective buffer; null `displs` means
+/// uniform blocks of `count` elements (the non-v variants).
+long long displ(int const* displs, int count, int i) {
+    return displs != nullptr ? displs[i] : static_cast<long long>(i) * count;
+}
+
+int count_at(int const* counts, int count, int i) { return counts != nullptr ? counts[i] : count; }
+
+/// Peer `j` of the all-but-me peer list of rank `r`, in rank order.
+int other(int r, int j) { return j < r ? j : j + 1; }
+
+// ---------------------------------------------------------------------------
+// Fixed shapes
+// ---------------------------------------------------------------------------
+
+/// Dissemination barrier: in round k every rank signals rank + 2^k and waits
+/// for rank - 2^k, with zero-byte messages (which never touch the buffer).
+int barrier(Mode m, MPI_Comm comm, MPI_Request* request) {
+    if (int rc = enter(m, comm, request); rc != MPI_SUCCESS) return rc;
+    return start(
+        m, comm, nullptr,
+        [](Schedule& s) {
+            static char dummy = 0;
+            int const p = s.size();
+            int const r = s.rank();
+            std::size_t rounds = 0;
+            while ((std::size_t{1} << rounds) < static_cast<std::size_t>(p)) ++rounds;
+            s.reserve(3 * rounds, rounds);
+            for (int k = 0, dist = 1; dist < p; ++k, dist <<= 1) {
+                s.send((r + dist) % p, k, &dummy, 0, MPI_BYTE);
+                s.recv((r - dist % p + p) % p, k, &dummy, 0, MPI_BYTE);
+            }
+            return MPI_SUCCESS;
+        },
+        request);
+}
+
+/// Linear gather(v): non-roots send their block; the root copies its own
+/// into place, posts one receive per peer and drains them in rank order.
+/// Null `counts`/`displs` mean uniform blocks of `rcount` (MPI_Gather).
+int gatherv(Mode m, void const* sbuf, int scount, MPI_Datatype stype, void* rbuf,
+            int const* counts, int const* displs, int rcount, MPI_Datatype rtype, int root,
+            MPI_Comm comm, MPI_Request* request) {
+    if (int rc = enter(m, comm, request, root); rc != MPI_SUCCESS) return rc;
+    return start(
+        m, comm, nullptr,
+        [&](Schedule& s) {
+            int const p = s.size();
+            int const r = s.rank();
+            if (r != root) {
+                s.send(root, 0, sbuf, scount, stype);
+                return MPI_SUCCESS;
+            }
+            if (sbuf != MPI_IN_PLACE) {
+                void* const dst = at_offset(rbuf, displ(displs, rcount, r), rtype);
+                own_block(m, s, [=] { local_copy(sbuf, scount, stype, dst, rtype); });
+            }
+            s.reserve(s.step_count() + 2 * static_cast<std::size_t>(p), static_cast<std::size_t>(p));
+            for (int j = 0; j < p - 1; ++j) {
+                int const i = other(r, j);
+                s.post(i, 0, at_offset(rbuf, displ(displs, rcount, i), rtype),
+                       count_at(counts, rcount, i), rtype);
+            }
+            for (int j = 0; j < p - 1; ++j) s.wait(j);  // the slots just posted
+            return MPI_SUCCESS;
+        },
+        request);
+}
+
+/// Linear scatter(v): the root sends every peer its block and copies its
+/// own; the others receive. Null `counts`/`displs` mean uniform blocks of
+/// `scount` (MPI_Scatter).
+int scatterv(Mode m, void const* sbuf, int const* counts, int const* displs, int scount,
+             MPI_Datatype stype, void* rbuf, int rcount, MPI_Datatype rtype, int root,
+             MPI_Comm comm, MPI_Request* request) {
+    if (int rc = enter(m, comm, request, root); rc != MPI_SUCCESS) return rc;
+    return start(
+        m, comm, nullptr,
+        [&](Schedule& s) {
+            int const p = s.size();
+            int const r = s.rank();
+            if (r != root) {
+                s.recv(root, 0, rbuf, rcount, rtype);
+                return MPI_SUCCESS;
+            }
+            s.reserve(static_cast<std::size_t>(p), 0);
+            for (int j = 0; j < p - 1; ++j) {
+                int const i = other(r, j);
+                s.send(i, 0, at_offset(sbuf, displ(displs, scount, i), stype),
+                       count_at(counts, scount, i), stype);
+            }
+            if (rbuf != MPI_IN_PLACE) {
+                void const* const src = at_offset(sbuf, displ(displs, scount, r), stype);
+                int const n = count_at(counts, scount, r);
+                own_block(m, s, [=] { local_copy(src, n, stype, rbuf, rtype); });
+            }
+            return MPI_SUCCESS;
+        },
+        request);
+}
+
+/// Allgatherv. Blocking: a ring — in step k forward block r - k to the right
+/// and receive block r - k - 1 from the left. Nonblocking: one all-peer
+/// exchange of the own block.
+int allgatherv(Mode m, void const* sbuf, int scount, MPI_Datatype stype, void* rbuf,
+               int const* counts, int const* displs, MPI_Datatype rtype, MPI_Comm comm,
+               MPI_Request* request) {
+    if (int rc = enter(m, comm, request); rc != MPI_SUCCESS) return rc;
+    return start(
+        m, comm, nullptr,
+        [&](Schedule& s) {
+            int const p = s.size();
+            int const r = s.rank();
+            auto at = [&](int i) { return at_offset(rbuf, displs[i], rtype); };
+            if (sbuf != MPI_IN_PLACE) local_copy(sbuf, scount, stype, at(r), rtype);
+            if (m == Mode::nb) {
+                alg::build_neighbor_exchange(
+                    s, p - 1,
+                    [&](int j) {
+                        int const i = other(r, j);
+                        return alg::Msg{i, at(i), counts[i], rtype};
+                    },
+                    p - 1, [&](int j) { return alg::Msg{other(r, j), at(r), counts[r], rtype}; });
+                return MPI_SUCCESS;
+            }
+            s.reserve(3 * static_cast<std::size_t>(p - 1), static_cast<std::size_t>(p - 1));
+            int const right = (r + 1) % p;
+            int const left = (r - 1 + p) % p;
+            for (int k = 0; k < p - 1; ++k) {
+                int const sb = (r - k + p) % p;
+                int const rb = (r - k - 1 + 2 * p) % p;
+                int const slot = s.post(left, k, at(rb), counts[rb], rtype);
+                s.send(right, k, at(sb), counts[sb], rtype);
+                s.wait(slot);
+            }
+            return MPI_SUCCESS;
+        },
+        request);
+}
+
+/// Block addresses of an alltoallv: element displacements, one type a side.
+struct VBlocks {
+    void const* sbuf;
+    int const* sdispls;
+    MPI_Datatype stype;
+    void* rbuf;
+    int const* rdispls;
+    MPI_Datatype rtype;
+    void const* sat(int i) const { return at_offset(sbuf, sdispls[i], stype); }
+    void* rat(int i) const { return at_offset(rbuf, rdispls[i], rtype); }
+    MPI_Datatype st(int) const { return stype; }
+    MPI_Datatype rt(int) const { return rtype; }
+};
+
+/// Block addresses of an alltoallw: byte displacements, a type per peer.
+struct WBlocks {
+    void const* sbuf;
+    int const* sdispls;
+    MPI_Datatype const* stypes;
+    void* rbuf;
+    int const* rdispls;
+    MPI_Datatype const* rtypes;
+    void const* sat(int i) const { return static_cast<std::byte const*>(sbuf) + sdispls[i]; }
+    void* rat(int i) const { return static_cast<std::byte*>(rbuf) + rdispls[i]; }
+    MPI_Datatype st(int i) const { return stypes[i]; }
+    MPI_Datatype rt(int i) const { return rtypes[i]; }
+};
+
+/// Alltoallv/w. Blocking: pairwise — in step i send to rank + i while
+/// receiving from rank - i. Nonblocking: one all-peer exchange. The own
+/// block is a local copy either way.
+template <typename Blocks>
+int alltoallv(Mode m, int const* scounts, int const* rcounts, Blocks const& b, MPI_Comm comm,
+              MPI_Request* request) {
+    if (int rc = enter(m, comm, request); rc != MPI_SUCCESS) return rc;
+    return start(
+        m, comm, nullptr,
+        [&](Schedule& s) {
+            int const p = s.size();
+            int const r = s.rank();
+            local_copy(b.sat(r), scounts[r], b.st(r), b.rat(r), b.rt(r));
+            if (m == Mode::nb) {
+                alg::build_neighbor_exchange(
+                    s, p - 1,
+                    [&](int j) {
+                        int const i = other(r, j);
+                        return alg::Msg{i, b.rat(i), rcounts[i], b.rt(i)};
+                    },
+                    p - 1,
+                    [&](int j) {
+                        int const i = other(r, j);
+                        return alg::Msg{i, b.sat(i), scounts[i], b.st(i)};
+                    });
+                return MPI_SUCCESS;
+            }
+            s.reserve(3 * static_cast<std::size_t>(p - 1), static_cast<std::size_t>(p - 1));
+            for (int i = 1; i < p; ++i) {
+                int const dst = (r + i) % p;
+                int const src = (r - i + p) % p;
+                int const slot = s.post(src, i, b.rat(src), rcounts[src], b.rt(src));
+                s.send(dst, i, b.sat(dst), scounts[dst], b.st(dst));
+                s.wait(slot);
+            }
+            return MPI_SUCCESS;
+        },
+        request);
+}
+
+/// Scan and exscan, folding lower ranks as the left operand (so
+/// non-commutative operations are exact). Blocking: Hillis–Steele rounds
+/// over a scratch accumulator; the exclusive variant then shifts the
+/// inclusive result one rank up. Nonblocking: every rank sends its input to
+/// every higher rank at initiation and folds the lower ranks' inputs in
+/// rank order.
+int scan(Mode m, void const* sbuf, void* rbuf, int count, MPI_Datatype type, MPI_Op op,
+         bool inclusive, MPI_Comm comm, MPI_Request* request) {
+    if (int rc = enter(m, comm, request); rc != MPI_SUCCESS) return rc;
+    void const* const input = sbuf == MPI_IN_PLACE ? rbuf : sbuf;
+    std::size_t const bytes =
+        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->extent);
+    return start(
+        m, comm, nullptr,
+        [&](Schedule& s) {
+            int const p = s.size();
+            int const r = s.rank();
+            if (m == Mode::nb) {
+                for (int i = r + 1; i < p; ++i) s.send(i, 0, input, count, type);
+                // slot[j] receives rank j's input, then holds the fold of
+                // ranks 0..j.
+                std::vector<std::byte*> slot(static_cast<std::size_t>(r));
+                for (int j = 0; j < r; ++j) {
+                    slot[static_cast<std::size_t>(j)] = s.alloc(bytes);
+                    s.post(j, 0, slot[static_cast<std::size_t>(j)], count, type);
+                }
+                for (int j = 0; j < r; ++j) {
+                    s.wait(j);
+                    if (j == 0) continue;
+                    std::byte* const acc = slot[static_cast<std::size_t>(j) - 1];
+                    std::byte* const in = slot[static_cast<std::size_t>(j)];
+                    s.local([=] {
+                        apply_op(op, acc, in, count, type);
+                        return MPI_SUCCESS;
+                    });
+                }
+                if (bytes == 0 || (!inclusive && r == 0)) return MPI_SUCCESS;
+                std::byte const* const acc = r > 0 ? slot.back() : nullptr;
+                s.local([=] {
+                    if (!inclusive) {
+                        std::memcpy(rbuf, acc, bytes);
+                        return MPI_SUCCESS;
+                    }
+                    if (input != rbuf) std::memcpy(rbuf, input, bytes);
+                    if (acc != nullptr) apply_op(op, acc, rbuf, count, type);
+                    return MPI_SUCCESS;
+                });
+                return MPI_SUCCESS;
+            }
+            std::byte* const acc = s.alloc(bytes);
+            std::byte* const tmp = s.alloc(bytes);
+            if (bytes > 0) std::memcpy(acc, input, bytes);
+            int k = 0;
+            for (int dist = 1; dist < p; dist <<= 1, ++k) {
+                if (r + dist < p) s.send(r + dist, k, acc, count, type);
+                if (r - dist >= 0) {
+                    s.recv(r - dist, k, tmp, count, type);
+                    s.local([=] {
+                        apply_op(op, tmp, acc, count, type);  // tmp covers lower ranks
+                        return MPI_SUCCESS;
+                    });
+                }
+            }
+            if (!inclusive) {
+                // Rank 0's exscan result is undefined; its buffer is untouched.
+                if (r + 1 < p) s.send(r + 1, k, acc, count, type);
+                if (r > 0) s.recv(r - 1, k, rbuf, count, type);
+            } else if (bytes > 0) {
+                s.local([=] {
+                    std::memcpy(rbuf, acc, bytes);
+                    return MPI_SUCCESS;
+                });
+            }
+            return MPI_SUCCESS;
+        },
+        request);
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm families (selection + schedule cache)
+// ---------------------------------------------------------------------------
+
+int bcast(Mode m, void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm,
+          MPI_Request* request) {
+    if (int rc = enter(m, comm, request, root); rc != MPI_SUCCESS) return rc;
+    if (m == Mode::block && comm->size() == 1) return MPI_SUCCESS;
+    alg::SchedSpec spec{alg::Family::bcast, 0, count, 0, root, buf, nullptr, type, nullptr,
+                        nullptr};
+    return start(
+        m, comm, &spec,
+        [&](Schedule& s) { return alg::build_bcast(spec.alg, s, buf, count, type, root); },
+        request);
+}
+
+int reduce(Mode m, void const* sbuf, void* rbuf, int count, MPI_Datatype type, MPI_Op op,
+           int root, MPI_Comm comm, MPI_Request* request) {
+    if (int rc = enter(m, comm, request, root); rc != MPI_SUCCESS) return rc;
+    void const* const input = sbuf == MPI_IN_PLACE ? rbuf : sbuf;
+    alg::SchedSpec spec{alg::Family::reduce, 0, count, 0, root, input, rbuf, type, nullptr, op};
+    return start(
+        m, comm, &spec,
+        [&](Schedule& s) {
+            return alg::build_reduce(spec.alg, s, input, rbuf, count, type, op, root);
+        },
+        request);
+}
+
+int allreduce(Mode m, void const* sbuf, void* rbuf, int count, MPI_Datatype type, MPI_Op op,
+              MPI_Comm comm, MPI_Request* request) {
+    if (int rc = enter(m, comm, request); rc != MPI_SUCCESS) return rc;
+    void const* const input = sbuf == MPI_IN_PLACE ? rbuf : sbuf;
+    alg::SchedSpec spec{alg::Family::allreduce, 0, count, 0, 0, input, rbuf, type, nullptr, op};
+    return start(
+        m, comm, &spec,
+        [&](Schedule& s) { return alg::build_allreduce(spec.alg, s, input, rbuf, count, type, op); },
+        request);
+}
+
+/// The own block goes into place outside the cached schedule, whose spec
+/// does not key the send buffer; a persistent schedule copies it per start.
+int allgather(Mode m, void const* sbuf, int scount, MPI_Datatype stype, void* rbuf, int rcount,
+              MPI_Datatype rtype, MPI_Comm comm, MPI_Request* request) {
+    if (int rc = enter(m, comm, request); rc != MPI_SUCCESS) return rc;
+    void* const dst = at_offset(rbuf, static_cast<long long>(comm->rank()) * rcount, rtype);
+    auto const copy = [=] { local_copy(sbuf, scount, stype, dst, rtype); };
+    bool const own = sbuf != MPI_IN_PLACE;
+    if (own && m != Mode::persist) copy();
+    if (m == Mode::block && comm->size() == 1) return MPI_SUCCESS;
+    alg::SchedSpec spec{alg::Family::allgather, 0, rcount, 0, 0, rbuf, nullptr, rtype, nullptr,
+                        nullptr};
+    return start(
+        m, comm, &spec,
+        [&](Schedule& s) {
+            if (own) own_block(m, s, copy);
+            return alg::build_allgather(spec.alg, s, rbuf, rcount, rtype);
+        },
+        request);
+}
+
+int alltoall(Mode m, void const* sbuf, int scount, MPI_Datatype stype, void* rbuf, int rcount,
+             MPI_Datatype rtype, MPI_Comm comm, MPI_Request* request) {
+    if (int rc = enter(m, comm, request); rc != MPI_SUCCESS) return rc;
+    alg::SchedSpec spec{alg::Family::alltoall, 0, scount, rcount, 0, sbuf, rbuf, stype, rtype,
+                        nullptr};
+    return start(
+        m, comm, &spec,
+        [&](Schedule& s) {
+            return alg::build_alltoall(spec.alg, s, sbuf, scount, stype, rbuf, rcount, rtype);
+        },
+        request);
 }
 
 }  // namespace
 }  // namespace xmpi::detail
 
 using namespace xmpi::detail;
-using xmpi::detail::alg::at_offset;
-using xmpi::detail::alg::local_copy;
 
 // ---------------------------------------------------------------------------
-// Barrier (dissemination) and Ibarrier (generalized request)
+// Entry points. Persistent collectives (MPI-4 *_init + MPI_Start) freeze
+// what a blocking call decides per invocation — algorithm selection,
+// topology composition, the sequence number and, for the v-variants, the
+// count and displacement arrays — into one schedule at init. MPI_Start
+// re-arms it (Schedule::reset) and replays it; execution-time steps re-read
+// the bound user buffers, so each start observes their current contents.
+// Rounds of one persistent request match each other FIFO per (source, tag);
+// interleaved one-shot collectives use fresh sequence numbers.
 // ---------------------------------------------------------------------------
 
-int MPI_Barrier(MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    if (p == 1) return MPI_SUCCESS;
-    std::uint64_t const seq = comm->coll_seq++;
-    char dummy = 0;
-    for (int k = 0, dist = 1; dist < p; ++k, dist <<= 1) {
-        int const dst = (r + dist) % p;
-        int const src = (r - dist % p + p) % p;
-        if (int rc = csend(comm, dst, seq, k, &dummy, 0, MPI_BYTE); rc != MPI_SUCCESS) return rc;
-        if (int rc = crecv(comm, src, seq, k, &dummy, 0, MPI_BYTE); rc != MPI_SUCCESS) return rc;
-    }
-    return MPI_SUCCESS;
-}
-
-namespace {
-
-struct IbarrierState {
-    MPI_Comm comm = nullptr;
-    std::uint64_t seq = 0;
-    int round = 0;
-    int nrounds = 0;
-    xmpi_request_t* pending = nullptr;
-    char dummy = 0;
-};
-
-}  // namespace
+int MPI_Barrier(MPI_Comm comm) { return barrier(Mode::block, comm, nullptr); }
 
 int MPI_Ibarrier(MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (request == nullptr) return MPI_ERR_REQUEST;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    auto* req = new xmpi_request_t();
-    req->kind = xmpi_request_t::Kind::generalized;
-    req->owner = tls_rank();
-    req->comm = comm;
-    if (p == 1) {
-        req->completion_vtime = tls_rank()->vnow;
-        req->complete.store(true, std::memory_order_release);
-        *request = req;
-        return MPI_SUCCESS;
-    }
-    auto st = std::make_shared<IbarrierState>();
-    st->comm = comm;
-    st->seq = comm->coll_seq++;
-    while ((1 << st->nrounds) < p) ++st->nrounds;
-
-    auto launch_round = [st, p, r](xmpi_request_t* owner_req) -> int {
-        int const dist = 1 << st->round;
-        int const dst = (r + dist) % p;
-        int const src = (r - dist % p + p) % p;
-        if (int rc = cirecv(st->comm, src, st->seq, st->round, &st->dummy, 0, MPI_BYTE,
-                            &st->pending);
-            rc != MPI_SUCCESS)
-            return rc;
-        if (int rc = csend(st->comm, dst, st->seq, st->round, &st->dummy, 0, MPI_BYTE);
-            rc != MPI_SUCCESS)
-            return rc;
-        (void)owner_req;
-        return MPI_SUCCESS;
-    };
-    if (int rc = launch_round(req); rc != MPI_SUCCESS) {
-        req->error = rc;
-        req->complete.store(true, std::memory_order_release);
-        *request = req;
-        return MPI_SUCCESS;
-    }
-
-    req->progress = [st, launch_round](xmpi_request_t* rq) -> bool {
-        for (;;) {
-            int flag = 0;
-            int const rc = test_one(st->pending, &flag, MPI_STATUS_IGNORE);
-            if (flag == 0) return false;
-            st->pending = nullptr;
-            if (rc != MPI_SUCCESS) {
-                rq->error = rc;
-                rq->completion_vtime = tls_rank()->vnow;
-                rq->complete.store(true, std::memory_order_release);
-                return true;
-            }
-            ++st->round;
-            if (st->round >= st->nrounds) {
-                rq->completion_vtime = tls_rank()->vnow;
-                rq->complete.store(true, std::memory_order_release);
-                return true;
-            }
-            if (int rc2 = launch_round(rq); rc2 != MPI_SUCCESS) {
-                rq->error = rc2;
-                rq->completion_vtime = tls_rank()->vnow;
-                rq->complete.store(true, std::memory_order_release);
-                return true;
-            }
-        }
-    };
-    *request = req;
-    return MPI_SUCCESS;
+    return barrier(Mode::nb, comm, request);
 }
 
-// ---------------------------------------------------------------------------
-// Bcast (algorithm layer: flat / binomial / pipelined ring)
-// ---------------------------------------------------------------------------
-
-// The blocking and MPI_I* paths of the algorithm-backed collectives share
-// one shape: selection runs first (its result is part of the cache key),
-// alg::acquire_schedule serves the schedule from the per-communicator cache
-// or builds it, and `seq` is always the caller's freshly incremented
-// coll_seq so cached and fresh schedules emit identical tags.
+int MPI_Barrier_init(MPI_Comm comm, int /*info*/, MPI_Request* request) {
+    return barrier(Mode::persist, comm, request);
+}
 
 int MPI_Bcast(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    if (root < 0 || root >= p) return MPI_ERR_ROOT;
-    if (p == 1) return MPI_SUCCESS;
-    std::uint64_t const seq = comm->coll_seq++;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    int const idx = alg::select(alg::Family::bcast, comm, bytes, true);
-    trace::ev(trace::Ev::coll_enter, -1, -1, bytes, seq, static_cast<int>(alg::Family::bcast), idx);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::bcast, idx, count, 0, root, buf, nullptr, type, nullptr,
-                       nullptr},
-        &err, [&](alg::Schedule& sch) { return alg::build_bcast(idx, sch, buf, count, type, root); });
-    if (err == MPI_SUCCESS) err = alg::run_observed(*s, alg::Family::bcast, idx, bytes);
-    trace::ev(trace::Ev::coll_exit, -1, -1, bytes, seq, static_cast<int>(alg::Family::bcast), idx);
-    return err;
+    return bcast(Mode::block, buf, count, type, root, comm, nullptr);
 }
 
-// ---------------------------------------------------------------------------
-// Gather / Gatherv / Scatter / Scatterv (linear, as in typical v-collectives)
-// ---------------------------------------------------------------------------
+int MPI_Ibcast(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm,
+               MPI_Request* request) {
+    return bcast(Mode::nb, buf, count, type, root, comm, request);
+}
+
+int MPI_Bcast_init(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm, int /*info*/,
+                   MPI_Request* request) {
+    return bcast(Mode::persist, buf, count, type, root, comm, request);
+}
 
 int MPI_Gatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                 const int* recvcounts, const int* displs, MPI_Datatype recvtype, int root,
                 MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    if (r != root) {
-        return csend(comm, root, seq, 0, sendbuf, sendcount, sendtype);
-    }
-    if (sendbuf != MPI_IN_PLACE) {
-        local_copy(sendbuf, sendcount, sendtype, at_offset(recvbuf, displs[r], recvtype), recvtype);
-    }
-    for (int i = 0; i < p; ++i) {
-        if (i == r) continue;
-        if (int rc = crecv(comm, i, seq, 0, at_offset(recvbuf, displs[i], recvtype), recvcounts[i],
-                           recvtype);
-            rc != MPI_SUCCESS)
-            return rc;
-    }
-    return MPI_SUCCESS;
+    return gatherv(Mode::block, sendbuf, sendcount, sendtype, recvbuf, recvcounts, displs, 0,
+                   recvtype, root, comm, nullptr);
+}
+
+int MPI_Igatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                 const int* recvcounts, const int* displs, MPI_Datatype recvtype, int root,
+                 MPI_Comm comm, MPI_Request* request) {
+    return gatherv(Mode::nb, sendbuf, sendcount, sendtype, recvbuf, recvcounts, displs, 0,
+                   recvtype, root, comm, request);
+}
+
+int MPI_Gatherv_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                     const int* recvcounts, const int* displs, MPI_Datatype recvtype, int root,
+                     MPI_Comm comm, int /*info*/, MPI_Request* request) {
+    return gatherv(Mode::persist, sendbuf, sendcount, sendtype, recvbuf, recvcounts, displs, 0,
+                   recvtype, root, comm, request);
 }
 
 int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm) {
-    CallScope const call;
-    MPI_Comm const rcomm = resolve(comm);
-    if (rcomm == nullptr) return MPI_ERR_COMM;
-    int const p = rcomm->size();
-    std::vector<int> counts(static_cast<std::size_t>(p), recvcount);
-    std::vector<int> displs(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) displs[static_cast<std::size_t>(i)] = i * recvcount;
-    return MPI_Gatherv(sendbuf, sendcount, sendtype, recvbuf, counts.data(), displs.data(),
-                       recvtype, root, rcomm);
+    return gatherv(Mode::block, sendbuf, sendcount, sendtype, recvbuf, nullptr, nullptr,
+                   recvcount, recvtype, root, comm, nullptr);
+}
+
+int MPI_Igather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm,
+                MPI_Request* request) {
+    return gatherv(Mode::nb, sendbuf, sendcount, sendtype, recvbuf, nullptr, nullptr, recvcount,
+                   recvtype, root, comm, request);
+}
+
+int MPI_Gather_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                    int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm, int /*info*/,
+                    MPI_Request* request) {
+    return gatherv(Mode::persist, sendbuf, sendcount, sendtype, recvbuf, nullptr, nullptr,
+                   recvcount, recvtype, root, comm, request);
 }
 
 int MPI_Scatterv(const void* sendbuf, const int* sendcounts, const int* displs,
                  MPI_Datatype sendtype, void* recvbuf, int recvcount, MPI_Datatype recvtype,
                  int root, MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    if (r == root) {
-        for (int i = 0; i < p; ++i) {
-            if (i == r) continue;
-            if (int rc = csend(comm, i, seq, 0, at_offset(sendbuf, displs[i], sendtype),
-                               sendcounts[i], sendtype);
-                rc != MPI_SUCCESS)
-                return rc;
-        }
-        if (recvbuf != MPI_IN_PLACE) {
-            local_copy(at_offset(sendbuf, displs[r], sendtype), sendcounts[r], sendtype, recvbuf,
-                       recvtype);
-        }
-        return MPI_SUCCESS;
-    }
-    return crecv(comm, root, seq, 0, recvbuf, recvcount, recvtype);
+    return scatterv(Mode::block, sendbuf, sendcounts, displs, 0, sendtype, recvbuf, recvcount,
+                    recvtype, root, comm, nullptr);
+}
+
+int MPI_Iscatterv(const void* sendbuf, const int* sendcounts, const int* displs,
+                  MPI_Datatype sendtype, void* recvbuf, int recvcount, MPI_Datatype recvtype,
+                  int root, MPI_Comm comm, MPI_Request* request) {
+    return scatterv(Mode::nb, sendbuf, sendcounts, displs, 0, sendtype, recvbuf, recvcount,
+                    recvtype, root, comm, request);
+}
+
+int MPI_Scatterv_init(const void* sendbuf, const int* sendcounts, const int* displs,
+                      MPI_Datatype sendtype, void* recvbuf, int recvcount, MPI_Datatype recvtype,
+                      int root, MPI_Comm comm, int /*info*/, MPI_Request* request) {
+    return scatterv(Mode::persist, sendbuf, sendcounts, displs, 0, sendtype, recvbuf, recvcount,
+                    recvtype, root, comm, request);
 }
 
 int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                 int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm) {
-    CallScope const call;
-    MPI_Comm const rcomm = resolve(comm);
-    if (rcomm == nullptr) return MPI_ERR_COMM;
-    int const p = rcomm->size();
-    std::vector<int> counts(static_cast<std::size_t>(p), sendcount);
-    std::vector<int> displs(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) displs[static_cast<std::size_t>(i)] = i * sendcount;
-    return MPI_Scatterv(sendbuf, counts.data(), displs.data(), sendtype, recvbuf, recvcount,
-                        recvtype, root, rcomm);
+    return scatterv(Mode::block, sendbuf, nullptr, nullptr, sendcount, sendtype, recvbuf,
+                    recvcount, recvtype, root, comm, nullptr);
 }
 
-// ---------------------------------------------------------------------------
-// Allgather (algorithm layer: flat / recursive doubling / ring)
-// and Allgatherv (ring)
-// ---------------------------------------------------------------------------
+int MPI_Iscatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                 int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm,
+                 MPI_Request* request) {
+    return scatterv(Mode::nb, sendbuf, nullptr, nullptr, sendcount, sendtype, recvbuf, recvcount,
+                    recvtype, root, comm, request);
+}
+
+int MPI_Scatter_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                     int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm, int /*info*/,
+                     MPI_Request* request) {
+    return scatterv(Mode::persist, sendbuf, nullptr, nullptr, sendcount, sendtype, recvbuf,
+                    recvcount, recvtype, root, comm, request);
+}
 
 int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                   int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    // Own contribution into place.
-    if (sendbuf != MPI_IN_PLACE) {
-        local_copy(sendbuf, sendcount, sendtype,
-                   at_offset(recvbuf, static_cast<long long>(r) * recvcount, recvtype), recvtype);
-    }
-    if (p == 1) return MPI_SUCCESS;
-    std::uint64_t const seq = comm->coll_seq++;
-    std::size_t const bytes =
-        static_cast<std::size_t>(recvcount) * static_cast<std::size_t>(recvtype->size);
-    int const idx = alg::select(alg::Family::allgather, comm, bytes, true);
-    trace::ev(trace::Ev::coll_enter, -1, -1, bytes, seq, static_cast<int>(alg::Family::allgather),
-              idx);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::allgather, idx, recvcount, 0, 0, recvbuf, nullptr, recvtype,
-                       nullptr, nullptr},
-        &err,
-        [&](alg::Schedule& sch) { return alg::build_allgather(idx, sch, recvbuf, recvcount, recvtype); });
-    if (err == MPI_SUCCESS) err = alg::run_observed(*s, alg::Family::allgather, idx, bytes);
-    trace::ev(trace::Ev::coll_exit, -1, -1, bytes, seq, static_cast<int>(alg::Family::allgather),
-              idx);
-    return err;
+    return allgather(Mode::block, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm,
+                     nullptr);
+}
+
+int MPI_Iallgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                   int recvcount, MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
+    return allgather(Mode::nb, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm,
+                     request);
+}
+
+int MPI_Allgather_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                       int recvcount, MPI_Datatype recvtype, MPI_Comm comm, int /*info*/,
+                       MPI_Request* request) {
+    return allgather(Mode::persist, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
+                     comm, request);
 }
 
 int MPI_Allgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                    const int* recvcounts, const int* displs, MPI_Datatype recvtype, MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    if (sendbuf != MPI_IN_PLACE) {
-        local_copy(sendbuf, sendcount, sendtype, at_offset(recvbuf, displs[r], recvtype), recvtype);
-    }
-    if (p == 1) return MPI_SUCCESS;
-    std::uint64_t const seq = comm->coll_seq++;
-    // Ring: in step k, forward block (r - k) to the right neighbor and
-    // receive block (r - k - 1) from the left neighbor.
-    int const right = (r + 1) % p;
-    int const left = (r - 1 + p) % p;
-    for (int k = 0; k < p - 1; ++k) {
-        int const sblock = (r - k + p) % p;
-        int const rblock = (r - k - 1 + 2 * p) % p;
-        if (int rc = csendrecv(comm, right, left, seq, k,
-                               at_offset(recvbuf, displs[sblock], recvtype), recvcounts[sblock],
-                               at_offset(recvbuf, displs[rblock], recvtype), recvcounts[rblock],
-                               recvtype);
-            rc != MPI_SUCCESS)
-            return rc;
-    }
-    return MPI_SUCCESS;
+    return allgatherv(Mode::block, sendbuf, sendcount, sendtype, recvbuf, recvcounts, displs,
+                      recvtype, comm, nullptr);
 }
 
-// ---------------------------------------------------------------------------
-// Alltoall family (alltoall: algorithm layer pairwise / Bruck; the v/w
-// variants keep the pairwise exchange)
-// ---------------------------------------------------------------------------
+int MPI_Iallgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                    const int* recvcounts, const int* displs, MPI_Datatype recvtype, MPI_Comm comm,
+                    MPI_Request* request) {
+    return allgatherv(Mode::nb, sendbuf, sendcount, sendtype, recvbuf, recvcounts, displs,
+                      recvtype, comm, request);
+}
 
 int MPI_Alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                  int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    std::uint64_t const seq = comm->coll_seq++;
-    std::size_t const bytes =
-        static_cast<std::size_t>(sendcount) * static_cast<std::size_t>(sendtype->size);
-    int const idx = alg::select(alg::Family::alltoall, comm, bytes, true);
-    trace::ev(trace::Ev::coll_enter, -1, -1, bytes, seq, static_cast<int>(alg::Family::alltoall),
-              idx);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::alltoall, idx, sendcount, recvcount, 0, sendbuf, recvbuf,
-                       sendtype, recvtype, nullptr},
-        &err, [&](alg::Schedule& sch) {
-            return alg::build_alltoall(idx, sch, sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                                       recvtype);
-        });
-    if (err == MPI_SUCCESS) err = alg::run_observed(*s, alg::Family::alltoall, idx, bytes);
-    trace::ev(trace::Ev::coll_exit, -1, -1, bytes, seq, static_cast<int>(alg::Family::alltoall),
-              idx);
-    return err;
+    return alltoall(Mode::block, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm,
+                    nullptr);
+}
+
+int MPI_Ialltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                  int recvcount, MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
+    return alltoall(Mode::nb, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm,
+                    request);
+}
+
+int MPI_Alltoall_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
+                      int recvcount, MPI_Datatype recvtype, MPI_Comm comm, int /*info*/,
+                      MPI_Request* request) {
+    return alltoall(Mode::persist, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
+                    comm, request);
 }
 
 int MPI_Alltoallv(const void* sendbuf, const int* sendcounts, const int* sdispls,
                   MPI_Datatype sendtype, void* recvbuf, const int* recvcounts, const int* rdispls,
                   MPI_Datatype recvtype, MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    local_copy(at_offset(sendbuf, sdispls[r], sendtype), sendcounts[r], sendtype,
-               at_offset(recvbuf, rdispls[r], recvtype), recvtype);
-    for (int i = 1; i < p; ++i) {
-        int const dst = (r + i) % p;
-        int const src = (r - i + p) % p;
-        xmpi_request_t* rreq = nullptr;
-        if (int rc = cirecv(comm, src, seq, i, at_offset(recvbuf, rdispls[src], recvtype),
-                            recvcounts[src], recvtype, &rreq);
-            rc != MPI_SUCCESS)
-            return rc;
-        if (int rc = csend(comm, dst, seq, i, at_offset(sendbuf, sdispls[dst], sendtype),
-                           sendcounts[dst], sendtype);
-            rc != MPI_SUCCESS) {
-            wait_one(rreq, MPI_STATUS_IGNORE);
-            return rc;
-        }
-        if (int rc = wait_one(rreq, MPI_STATUS_IGNORE); rc != MPI_SUCCESS) return rc;
-    }
-    return MPI_SUCCESS;
+    return alltoallv(Mode::block, sendcounts, recvcounts,
+                     VBlocks{sendbuf, sdispls, sendtype, recvbuf, rdispls, recvtype}, comm,
+                     nullptr);
+}
+
+int MPI_Ialltoallv(const void* sendbuf, const int* sendcounts, const int* sdispls,
+                   MPI_Datatype sendtype, void* recvbuf, const int* recvcounts, const int* rdispls,
+                   MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
+    return alltoallv(Mode::nb, sendcounts, recvcounts,
+                     VBlocks{sendbuf, sdispls, sendtype, recvbuf, rdispls, recvtype}, comm,
+                     request);
 }
 
 int MPI_Alltoallw(const void* sendbuf, const int* sendcounts, const int* sdispls,
                   const MPI_Datatype* sendtypes, void* recvbuf, const int* recvcounts,
                   const int* rdispls, const MPI_Datatype* recvtypes, MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    // Alltoallw displacements are in *bytes*.
-    auto sat = [&](int i) { return static_cast<std::byte const*>(sendbuf) + sdispls[i]; };
-    auto rat = [&](int i) { return static_cast<std::byte*>(recvbuf) + rdispls[i]; };
-    local_copy(sat(r), sendcounts[r], sendtypes[r], rat(r), recvtypes[r]);
-    for (int i = 1; i < p; ++i) {
-        int const dst = (r + i) % p;
-        int const src = (r - i + p) % p;
-        xmpi_request_t* rreq = nullptr;
-        if (int rc = cirecv(comm, src, seq, i, rat(src), recvcounts[src], recvtypes[src], &rreq);
-            rc != MPI_SUCCESS)
-            return rc;
-        if (int rc = csend(comm, dst, seq, i, sat(dst), sendcounts[dst], sendtypes[dst]);
-            rc != MPI_SUCCESS) {
-            wait_one(rreq, MPI_STATUS_IGNORE);
-            return rc;
-        }
-        if (int rc = wait_one(rreq, MPI_STATUS_IGNORE); rc != MPI_SUCCESS) return rc;
-    }
-    return MPI_SUCCESS;
+    return alltoallv(Mode::block, sendcounts, recvcounts,
+                     WBlocks{sendbuf, sdispls, sendtypes, recvbuf, rdispls, recvtypes}, comm,
+                     nullptr);
 }
-
-// ---------------------------------------------------------------------------
-// Reductions (algorithm layer: reduce flat / binomial; allreduce flat /
-// binomial / recursive doubling / Rabenseifner / ring). All rank-order
-// bracketings except the ring, which the registry gates on commutativity.
-// ---------------------------------------------------------------------------
 
 int MPI_Reduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                int root, MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    int const idx = alg::select(alg::Family::reduce, comm, bytes, op->commutative, op->builtin);
-    trace::ev(trace::Ev::coll_enter, -1, -1, bytes, seq, static_cast<int>(alg::Family::reduce),
-              idx);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::reduce, idx, count, 0, root, input, recvbuf, type, nullptr,
-                       op},
-        &err, [&](alg::Schedule& sch) {
-            return alg::build_reduce(idx, sch, input, recvbuf, count, type, op, root);
-        });
-    if (err == MPI_SUCCESS) err = alg::run_observed(*s, alg::Family::reduce, idx, bytes);
-    trace::ev(trace::Ev::coll_exit, -1, -1, bytes, seq, static_cast<int>(alg::Family::reduce),
-              idx);
-    return err;
+    return reduce(Mode::block, sendbuf, recvbuf, count, type, op, root, comm, nullptr);
+}
+
+int MPI_Ireduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
+                int root, MPI_Comm comm, MPI_Request* request) {
+    return reduce(Mode::nb, sendbuf, recvbuf, count, type, op, root, comm, request);
+}
+
+int MPI_Reduce_init(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
+                    int root, MPI_Comm comm, int /*info*/, MPI_Request* request) {
+    return reduce(Mode::persist, sendbuf, recvbuf, count, type, op, root, comm, request);
 }
 
 int MPI_Allreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                   MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    std::uint64_t const seq = comm->coll_seq++;
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    int const idx = alg::select(alg::Family::allreduce, comm, bytes, op->commutative, op->builtin);
-    trace::ev(trace::Ev::coll_enter, -1, -1, bytes, seq, static_cast<int>(alg::Family::allreduce),
-              idx);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::allreduce, idx, count, 0, 0, input, recvbuf, type, nullptr,
-                       op},
-        &err, [&](alg::Schedule& sch) {
-            return alg::build_allreduce(idx, sch, input, recvbuf, count, type, op);
-        });
-    if (err == MPI_SUCCESS) err = alg::run_observed(*s, alg::Family::allreduce, idx, bytes);
-    trace::ev(trace::Ev::coll_exit, -1, -1, bytes, seq, static_cast<int>(alg::Family::allreduce),
-              idx);
-    return err;
+    return allreduce(Mode::block, sendbuf, recvbuf, count, type, op, comm, nullptr);
+}
+
+int MPI_Iallreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
+                   MPI_Comm comm, MPI_Request* request) {
+    return allreduce(Mode::nb, sendbuf, recvbuf, count, type, op, comm, request);
+}
+
+int MPI_Allreduce_init(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
+                       MPI_Comm comm, int /*info*/, MPI_Request* request) {
+    return allreduce(Mode::persist, sendbuf, recvbuf, count, type, op, comm, request);
 }
 
 int MPI_Scan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
              MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::size_t const bytes = static_cast<std::size_t>(count) * static_cast<std::size_t>(type->extent);
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::vector<std::byte> acc(bytes);
-    std::vector<std::byte> tmp(bytes);
-    if (bytes > 0) std::memcpy(acc.data(), input, bytes);
-    if (p > 1) {
-        std::uint64_t const seq = comm->coll_seq++;
-        for (int dist = 1, k = 0; dist < p; dist <<= 1, ++k) {
-            if (r + dist < p) {
-                if (int rc = csend(comm, r + dist, seq, k, acc.data(), count, type);
-                    rc != MPI_SUCCESS)
-                    return rc;
-            }
-            if (r - dist >= 0) {
-                if (int rc = crecv(comm, r - dist, seq, k, tmp.data(), count, type);
-                    rc != MPI_SUCCESS)
-                    return rc;
-                // tmp covers lower ranks: left operand.
-                apply_op(op, tmp.data(), acc.data(), count, type);
-            }
-        }
-    }
-    if (bytes > 0) std::memcpy(recvbuf, acc.data(), bytes);
-    return MPI_SUCCESS;
+    return scan(Mode::block, sendbuf, recvbuf, count, type, op, true, comm, nullptr);
+}
+
+int MPI_Iscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
+              MPI_Comm comm, MPI_Request* request) {
+    return scan(Mode::nb, sendbuf, recvbuf, count, type, op, true, comm, request);
 }
 
 int MPI_Exscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
                MPI_Comm comm) {
-    CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::size_t const bytes = static_cast<std::size_t>(count) * static_cast<std::size_t>(type->extent);
-    // Inclusive scan into a temporary, then shift right by one rank.
-    std::vector<std::byte> incl(bytes);
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    if (int rc = MPI_Scan(input, incl.data(), count, type, op, comm); rc != MPI_SUCCESS)
-        return rc;
-    if (p == 1) return MPI_SUCCESS;  // rank 0's exscan result is undefined
-    std::uint64_t const seq = comm->coll_seq++;
-    if (r + 1 < p) {
-        if (int rc = csend(comm, r + 1, seq, 0, incl.data(), count, type); rc != MPI_SUCCESS)
-            return rc;
-    }
-    if (r > 0) {
-        if (int rc = crecv(comm, r - 1, seq, 0, recvbuf, count, type); rc != MPI_SUCCESS) return rc;
-    }
-    return MPI_SUCCESS;
+    return scan(Mode::block, sendbuf, recvbuf, count, type, op, false, comm, nullptr);
 }
 
+int MPI_Iexscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
+                MPI_Comm comm, MPI_Request* request) {
+    return scan(Mode::nb, sendbuf, recvbuf, count, type, op, false, comm, request);
+}
+
+/// Reduce to rank 0, then scatter the blocks.
 int MPI_Reduce_scatter_block(const void* sendbuf, void* recvbuf, int recvcount, MPI_Datatype type,
                              MPI_Op op, MPI_Comm comm) {
     CallScope const call;
-    if (int rc = coll_entry(comm); rc != MPI_SUCCESS) return rc;
+    if (int rc = enter(Mode::block, comm, nullptr); rc != MPI_SUCCESS) return rc;
     int const p = comm->size();
-    int const r = comm->rank();
     std::vector<std::byte> full(static_cast<std::size_t>(recvcount) * static_cast<std::size_t>(p) *
                                 static_cast<std::size_t>(type->extent));
     void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
     if (int rc = MPI_Reduce(input, full.data(), recvcount * p, type, op, 0, comm);
         rc != MPI_SUCCESS)
         return rc;
-    (void)r;
     return MPI_Scatter(full.data(), recvcount, type, recvbuf, recvcount, type, 0, comm);
-}
-
-// ---------------------------------------------------------------------------
-// Non-blocking collectives (generalized requests, flat algorithms).
-//
-// Every MPI_I* below follows one shape: at initiation all outgoing messages
-// are deposited eagerly (the transport is fully eager, so sends complete
-// immediately) and all expected receives are posted. The request's progress
-// state machine then drains the posted receives *in a fixed order* (ascending
-// source rank), running a per-receive combine action (reductions) and a final
-// action (e.g. copying the accumulator into the user buffer) once the last
-// receive completed. Fixed-order draining is what makes non-commutative
-// reductions correct: operands are always folded in rank order, exactly like
-// the blocking algorithms.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// State shared between initiation and the progress state machine of one
-/// flat non-blocking collective.
-struct NbColl {
-    std::vector<xmpi_request_t*> pending;  // posted receives, drain order
-    std::size_t next = 0;                  // next receive to complete
-    /// Combine action for pending[i]; runs after that receive completed.
-    std::function<int(std::size_t)> on_recv;
-    /// Final action once every receive was drained (runs exactly once).
-    std::function<int()> on_done;
-
-    // Scratch storage owned by the operation (outlives the caller's scope).
-    std::vector<std::vector<std::byte>> slots;  // one per pending receive
-    std::vector<std::byte> acc;                 // reduction accumulator
-    std::vector<std::byte> own;                 // copy of the local contribution
-    bool own_applied = false;
-};
-
-/// Folds `contrib` (count elements of `type`, living in `slot` which may be
-/// clobbered) into st->acc in rank order: acc = op(acc, contrib).
-int nb_fold(NbColl* st, MPI_Op op, std::vector<std::byte>& slot, int count, MPI_Datatype type) {
-    if (st->acc.empty()) {
-        st->acc = std::move(slot);
-        slot.clear();
-        return MPI_SUCCESS;
-    }
-    apply_op(op, st->acc.data(), slot.data(), count, type);
-    std::swap(st->acc, slot);
-    return MPI_SUCCESS;
-}
-
-/// Completes `rq` with `error`, stamping the owner's current virtual time.
-void nb_complete(xmpi_request_t* rq, int error) {
-    if (error != MPI_SUCCESS) rq->error = error;
-    rq->completion_vtime = tls_rank()->vnow;
-    rq->complete.store(true, std::memory_order_release);
-}
-
-/// Wraps a fully initiated NbColl state into a generalized request and runs
-/// one progress step so operations with no (or already satisfied) receives
-/// complete immediately.
-int nb_launch(MPI_Comm comm, std::shared_ptr<NbColl> st, int init_error, MPI_Request* request) {
-    auto* req = new xmpi_request_t();
-    req->kind = xmpi_request_t::Kind::generalized;
-    req->owner = tls_rank();
-    req->comm = comm;
-    if (init_error != MPI_SUCCESS) {
-        nb_complete(req, init_error);
-        *request = req;
-        return MPI_SUCCESS;
-    }
-    req->progress = [st](xmpi_request_t* rq) -> bool {
-        while (st->next < st->pending.size()) {
-            int flag = 0;
-            int const rc = test_one(st->pending[st->next], &flag, MPI_STATUS_IGNORE);
-            if (flag == 0) return false;
-            st->pending[st->next] = nullptr;
-            int combined = rc;
-            if (combined == MPI_SUCCESS && st->on_recv) combined = st->on_recv(st->next);
-            if (combined != MPI_SUCCESS) {
-                nb_complete(rq, combined);
-                return true;
-            }
-            ++st->next;
-        }
-        int rc = MPI_SUCCESS;
-        if (st->on_done) {
-            rc = st->on_done();
-            st->on_done = nullptr;
-        }
-        nb_complete(rq, rc);
-        return true;
-    };
-    req->progress(req);
-    *request = req;
-    return MPI_SUCCESS;
-}
-
-/// Common entry validation for the MPI_I* collectives.
-int nb_entry(MPI_Comm& comm, MPI_Request* request) {
-    if (request == nullptr) return MPI_ERR_REQUEST;
-    return coll_entry(comm);
-}
-
-}  // namespace
-
-int MPI_Ibcast(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm,
-               MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    int const idx = alg::select(alg::Family::bcast, comm, bytes, true);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::bcast, idx, count, 0, root, buf, nullptr, type, nullptr,
-                       nullptr},
-        &err, [&](alg::Schedule& sch) { return alg::build_bcast(idx, sch, buf, count, type, root); });
-    return alg::launch_nonblocking(comm, std::move(s), err, request);
-}
-
-int MPI_Igatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                 const int* recvcounts, const int* displs, MPI_Datatype recvtype, int root,
-                 MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    if (root < 0 || root >= p) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    auto st = std::make_shared<NbColl>();
-    int err = MPI_SUCCESS;
-    if (r != root) {
-        err = csend(comm, root, seq, 0, sendbuf, sendcount, sendtype);
-    } else {
-        if (sendbuf != MPI_IN_PLACE) {
-            local_copy(sendbuf, sendcount, sendtype, at_offset(recvbuf, displs[r], recvtype),
-                       recvtype);
-        }
-        for (int i = 0; i < p && err == MPI_SUCCESS; ++i) {
-            if (i == r) continue;
-            xmpi_request_t* rr = nullptr;
-            err = cirecv(comm, i, seq, 0, at_offset(recvbuf, displs[i], recvtype), recvcounts[i],
-                         recvtype, &rr);
-            if (err == MPI_SUCCESS) st->pending.push_back(rr);
-        }
-    }
-    return nb_launch(comm, std::move(st), err, request);
-}
-
-int MPI_Igather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm,
-                MPI_Request* request) {
-    CallScope const call;
-    MPI_Comm const rcomm = resolve(comm);
-    if (rcomm == nullptr) return MPI_ERR_COMM;
-    int const p = rcomm->size();
-    std::vector<int> counts(static_cast<std::size_t>(p), recvcount);
-    std::vector<int> displs(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) displs[static_cast<std::size_t>(i)] = i * recvcount;
-    // counts/displs are only read during initiation, so stack copies suffice.
-    return MPI_Igatherv(sendbuf, sendcount, sendtype, recvbuf, counts.data(), displs.data(),
-                        recvtype, root, rcomm, request);
-}
-
-int MPI_Iscatterv(const void* sendbuf, const int* sendcounts, const int* displs,
-                  MPI_Datatype sendtype, void* recvbuf, int recvcount, MPI_Datatype recvtype,
-                  int root, MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    if (root < 0 || root >= p) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    auto st = std::make_shared<NbColl>();
-    int err = MPI_SUCCESS;
-    if (r == root) {
-        for (int i = 0; i < p && err == MPI_SUCCESS; ++i) {
-            if (i == r) continue;
-            err = csend(comm, i, seq, 0, at_offset(sendbuf, displs[i], sendtype), sendcounts[i],
-                        sendtype);
-        }
-        if (err == MPI_SUCCESS && recvbuf != MPI_IN_PLACE) {
-            local_copy(at_offset(sendbuf, displs[r], sendtype), sendcounts[r], sendtype, recvbuf,
-                       recvtype);
-        }
-    } else {
-        xmpi_request_t* rr = nullptr;
-        err = cirecv(comm, root, seq, 0, recvbuf, recvcount, recvtype, &rr);
-        if (err == MPI_SUCCESS) st->pending.push_back(rr);
-    }
-    return nb_launch(comm, std::move(st), err, request);
-}
-
-int MPI_Iscatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                 int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm,
-                 MPI_Request* request) {
-    CallScope const call;
-    MPI_Comm const rcomm = resolve(comm);
-    if (rcomm == nullptr) return MPI_ERR_COMM;
-    int const p = rcomm->size();
-    std::vector<int> counts(static_cast<std::size_t>(p), sendcount);
-    std::vector<int> displs(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) displs[static_cast<std::size_t>(i)] = i * sendcount;
-    return MPI_Iscatterv(sendbuf, counts.data(), displs.data(), sendtype, recvbuf, recvcount,
-                         recvtype, root, rcomm, request);
-}
-
-int MPI_Iallgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                    const int* recvcounts, const int* displs, MPI_Datatype recvtype, MPI_Comm comm,
-                    MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    if (sendbuf != MPI_IN_PLACE) {
-        local_copy(sendbuf, sendcount, sendtype, at_offset(recvbuf, displs[r], recvtype), recvtype);
-    }
-    auto st = std::make_shared<NbColl>();
-    int err = MPI_SUCCESS;
-    for (int i = 0; i < p && err == MPI_SUCCESS; ++i) {
-        if (i == r) continue;
-        err = csend(comm, i, seq, 0, at_offset(recvbuf, displs[r], recvtype), recvcounts[r],
-                    recvtype);
-    }
-    for (int i = 0; i < p && err == MPI_SUCCESS; ++i) {
-        if (i == r) continue;
-        xmpi_request_t* rr = nullptr;
-        err = cirecv(comm, i, seq, 0, at_offset(recvbuf, displs[i], recvtype), recvcounts[i],
-                     recvtype, &rr);
-        if (err == MPI_SUCCESS) st->pending.push_back(rr);
-    }
-    return nb_launch(comm, std::move(st), err, request);
-}
-
-int MPI_Iallgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                   int recvcount, MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    if (sendbuf != MPI_IN_PLACE) {
-        local_copy(sendbuf, sendcount, sendtype,
-                   at_offset(recvbuf, static_cast<long long>(r) * recvcount, recvtype), recvtype);
-    }
-    std::size_t const bytes =
-        static_cast<std::size_t>(recvcount) * static_cast<std::size_t>(recvtype->size);
-    int const idx = alg::select(alg::Family::allgather, comm, bytes, true);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::allgather, idx, recvcount, 0, 0, recvbuf, nullptr, recvtype,
-                       nullptr, nullptr},
-        &err,
-        [&](alg::Schedule& sch) { return alg::build_allgather(idx, sch, recvbuf, recvcount, recvtype); });
-    return alg::launch_nonblocking(comm, std::move(s), err, request);
-}
-
-int MPI_Ialltoallv(const void* sendbuf, const int* sendcounts, const int* sdispls,
-                   MPI_Datatype sendtype, void* recvbuf, const int* recvcounts, const int* rdispls,
-                   MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    local_copy(at_offset(sendbuf, sdispls[r], sendtype), sendcounts[r], sendtype,
-               at_offset(recvbuf, rdispls[r], recvtype), recvtype);
-    auto st = std::make_shared<NbColl>();
-    int err = MPI_SUCCESS;
-    for (int i = 0; i < p && err == MPI_SUCCESS; ++i) {
-        if (i == r) continue;
-        err = csend(comm, i, seq, 0, at_offset(sendbuf, sdispls[i], sendtype), sendcounts[i],
-                    sendtype);
-    }
-    for (int i = 0; i < p && err == MPI_SUCCESS; ++i) {
-        if (i == r) continue;
-        xmpi_request_t* rr = nullptr;
-        err = cirecv(comm, i, seq, 0, at_offset(recvbuf, rdispls[i], recvtype), recvcounts[i],
-                     recvtype, &rr);
-        if (err == MPI_SUCCESS) st->pending.push_back(rr);
-    }
-    return nb_launch(comm, std::move(st), err, request);
-}
-
-int MPI_Ialltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                  int recvcount, MPI_Datatype recvtype, MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    std::uint64_t const seq = comm->coll_seq++;
-    std::size_t const bytes =
-        static_cast<std::size_t>(sendcount) * static_cast<std::size_t>(sendtype->size);
-    int const idx = alg::select(alg::Family::alltoall, comm, bytes, true);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::alltoall, idx, sendcount, recvcount, 0, sendbuf, recvbuf,
-                       sendtype, recvtype, nullptr},
-        &err, [&](alg::Schedule& sch) {
-            return alg::build_alltoall(idx, sch, sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                                       recvtype);
-        });
-    return alg::launch_nonblocking(comm, std::move(s), err, request);
-}
-
-namespace {
-
-/// Shared initiation of the non-blocking reduction family. Receives the
-/// contributions of `sources` (ascending rank order) into scratch slots and
-/// folds them — interleaving the local contribution at its rank position —
-/// so operands combine in rank order (valid for non-commutative operations).
-/// `on_done(acc)` consumes the final accumulator.
-int nb_reduction(MPI_Comm comm, std::uint64_t seq, std::vector<int> sources, const void* input,
-                 int count, MPI_Datatype type, MPI_Op op, bool include_own,
-                 std::function<int(NbColl*)> on_done, std::shared_ptr<NbColl>& st_out,
-                 int my_rank) {
-    auto st = std::make_shared<NbColl>();
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->extent);
-    st->own.resize(bytes);
-    if (bytes > 0) std::memcpy(st->own.data(), input, bytes);
-    st->own_applied = !include_own;
-    st->slots.resize(sources.size());
-    int err = MPI_SUCCESS;
-    for (std::size_t i = 0; i < sources.size() && err == MPI_SUCCESS; ++i) {
-        st->slots[i].resize(bytes);
-        xmpi_request_t* rr = nullptr;
-        err = cirecv(comm, sources[i], seq, 0, st->slots[i].data(), count, type, &rr);
-        if (err == MPI_SUCCESS) st->pending.push_back(rr);
-    }
-    NbColl* stp = st.get();
-    auto fold_own_before = [stp, op, count, type, my_rank](int src) {
-        if (!stp->own_applied && my_rank < src) {
-            // own is consumed exactly once; nb_fold may clobber it.
-            nb_fold(stp, op, stp->own, count, type);
-            stp->own_applied = true;
-        }
-        return MPI_SUCCESS;
-    };
-    st->on_recv = [stp, op, count, type, sources, fold_own_before](std::size_t i) {
-        fold_own_before(sources[i]);
-        return nb_fold(stp, op, stp->slots[i], count, type);
-    };
-    st->on_done = [stp, op, count, type, on_done = std::move(on_done)]() {
-        if (!stp->own_applied) {
-            nb_fold(stp, op, stp->own, count, type);
-            stp->own_applied = true;
-        }
-        return on_done(stp);
-    };
-    st_out = std::move(st);
-    return err;
-}
-
-}  // namespace
-
-int MPI_Ireduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
-                int root, MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    int const idx = alg::select(alg::Family::reduce, comm, bytes, op->commutative, op->builtin);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::reduce, idx, count, 0, root, input, recvbuf, type, nullptr,
-                       op},
-        &err, [&](alg::Schedule& sch) {
-            return alg::build_reduce(idx, sch, input, recvbuf, count, type, op, root);
-        });
-    return alg::launch_nonblocking(comm, std::move(s), err, request);
-}
-
-int MPI_Iallreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
-                   MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    std::uint64_t const seq = comm->coll_seq++;
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    int const idx = alg::select(alg::Family::allreduce, comm, bytes, op->commutative, op->builtin);
-    int err = MPI_SUCCESS;
-    auto s = alg::acquire_schedule(
-        comm, seq,
-        alg::SchedSpec{alg::Family::allreduce, idx, count, 0, 0, input, recvbuf, type, nullptr,
-                       op},
-        &err, [&](alg::Schedule& sch) {
-            return alg::build_allreduce(idx, sch, input, recvbuf, count, type, op);
-        });
-    return alg::launch_nonblocking(comm, std::move(s), err, request);
-}
-
-int MPI_Iscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
-              MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->extent);
-    int err = MPI_SUCCESS;
-    for (int i = r + 1; i < p && err == MPI_SUCCESS; ++i) {
-        err = csend(comm, i, seq, 0, input, count, type);
-    }
-    std::vector<int> sources;
-    for (int i = 0; i < r; ++i) sources.push_back(i);
-    std::shared_ptr<NbColl> st;
-    if (err == MPI_SUCCESS) {
-        err = nb_reduction(
-            comm, seq, std::move(sources), input, count, type, op, /*include_own=*/true,
-            [recvbuf, bytes](NbColl* s) {
-                if (bytes > 0) std::memcpy(recvbuf, s->acc.data(), bytes);
-                return MPI_SUCCESS;
-            },
-            st, r);
-    } else {
-        st = std::make_shared<NbColl>();
-    }
-    return nb_launch(comm, std::move(st), err, request);
-}
-
-// ---------------------------------------------------------------------------
-// Persistent collectives (MPI-4 *_init + MPI_Start). Initialization freezes
-// everything the blocking call decides per invocation — algorithm selection
-// (cost model / XMPI_ALG_* / XMPI_T_alg_set), topology composition and the
-// collective sequence number — and materializes the schedule exactly once.
-// MPI_Start re-arms the schedule (Schedule::reset) and replays it: bound
-// user buffers are re-read by the execution-time steps, so each start
-// observes the buffer contents current at that start. Rounds of one
-// persistent request match each other FIFO per (source, tag); interleaved
-// one-shot collectives use fresh sequence numbers and cannot interfere.
-// ---------------------------------------------------------------------------
-
-int MPI_Barrier_init(MPI_Comm comm, int /*info*/, MPI_Request* request) {
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    auto s = std::make_shared<alg::Schedule>(comm, seq);
-    // Dissemination barrier as a schedule so it is re-armable like every
-    // other persistent collective.
-    std::byte* const dummy = s->alloc(1);
-    for (int k = 0, dist = 1; dist < p; ++k, dist <<= 1) {
-        int const dst = (r + dist) % p;
-        int const src = (r - dist % p + p) % p;
-        s->send(dst, k, dummy, 0, MPI_BYTE);
-        s->recv(src, k, dummy, 0, MPI_BYTE);
-    }
-    return alg::launch_persistent(comm, std::move(s), request);
-}
-
-int MPI_Bcast_init(void* buf, int count, MPI_Datatype type, int root, MPI_Comm comm, int /*info*/,
-                   MPI_Request* request) {
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    auto s = std::make_shared<alg::Schedule>(comm, seq);
-    int const idx = alg::select(alg::Family::bcast, comm, bytes, true);
-    if (int rc = alg::build_bcast(idx, *s, buf, count, type, root); rc != MPI_SUCCESS) return rc;
-    return alg::launch_persistent(comm, std::move(s), request);
-}
-
-int MPI_Reduce_init(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
-                    int root, MPI_Comm comm, int /*info*/, MPI_Request* request) {
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    if (root < 0 || root >= comm->size()) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    auto s = std::make_shared<alg::Schedule>(comm, seq);
-    int const idx = alg::select(alg::Family::reduce, comm, bytes, op->commutative, op->builtin);
-    if (int rc = alg::build_reduce(idx, *s, input, recvbuf, count, type, op, root);
-        rc != MPI_SUCCESS)
-        return rc;
-    return alg::launch_persistent(comm, std::move(s), request);
-}
-
-int MPI_Allreduce_init(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
-                       MPI_Comm comm, int /*info*/, MPI_Request* request) {
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    std::uint64_t const seq = comm->coll_seq++;
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
-    auto s = std::make_shared<alg::Schedule>(comm, seq);
-    int const idx = alg::select(alg::Family::allreduce, comm, bytes, op->commutative, op->builtin);
-    if (int rc = alg::build_allreduce(idx, *s, input, recvbuf, count, type, op); rc != MPI_SUCCESS)
-        return rc;
-    return alg::launch_persistent(comm, std::move(s), request);
-}
-
-int MPI_Allgather_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                       int recvcount, MPI_Datatype recvtype, MPI_Comm comm, int /*info*/,
-                       MPI_Request* request) {
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    std::size_t const bytes =
-        static_cast<std::size_t>(recvcount) * static_cast<std::size_t>(recvtype->size);
-    auto s = std::make_shared<alg::Schedule>(comm, seq);
-    // The blocking wrapper copies the caller's own block into place before
-    // running the algorithm; for a restartable schedule that copy must be an
-    // execution-time step so every start re-reads the send buffer.
-    if (sendbuf != MPI_IN_PLACE) {
-        s->local([sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, r]() {
-            local_copy(sendbuf, sendcount, sendtype,
-                       at_offset(recvbuf, static_cast<long long>(r) * recvcount, recvtype),
-                       recvtype);
-            return MPI_SUCCESS;
-        });
-    }
-    int const idx = alg::select(alg::Family::allgather, comm, bytes, true);
-    if (int rc = alg::build_allgather(idx, *s, recvbuf, recvcount, recvtype); rc != MPI_SUCCESS)
-        return rc;
-    return alg::launch_persistent(comm, std::move(s), request);
-}
-
-int MPI_Alltoall_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                      int recvcount, MPI_Datatype recvtype, MPI_Comm comm, int /*info*/,
-                      MPI_Request* request) {
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    std::uint64_t const seq = comm->coll_seq++;
-    std::size_t const bytes =
-        static_cast<std::size_t>(sendcount) * static_cast<std::size_t>(sendtype->size);
-    auto s = std::make_shared<alg::Schedule>(comm, seq);
-    int const idx = alg::select(alg::Family::alltoall, comm, bytes, true);
-    if (int rc = alg::build_alltoall(idx, *s, sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                                     recvtype);
-        rc != MPI_SUCCESS)
-        return rc;
-    return alg::launch_persistent(comm, std::move(s), request);
-}
-
-// Persistent gather/scatter family. The linear schedules are trivially
-// re-armable: every send reads its user buffer at execution time and the
-// root's own-block copy is an execution-time local step, so each start
-// observes current buffer contents. The v-variants read their
-// count/displacement arrays while building — i.e. the counts are frozen at
-// init, matching the selection-freeze contract of every other *_init.
-
-int MPI_Gatherv_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                     const int* recvcounts, const int* displs, MPI_Datatype recvtype, int root,
-                     MPI_Comm comm, int /*info*/, MPI_Request* request) {
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    if (root < 0 || root >= p) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    auto s = std::make_shared<alg::Schedule>(comm, seq);
-    if (r != root) {
-        s->send(root, 0, sendbuf, sendcount, sendtype);
-    } else {
-        if (sendbuf != MPI_IN_PLACE) {
-            long long const own_off = displs[r];
-            s->local([sendbuf, sendcount, sendtype, recvbuf, own_off, recvtype]() {
-                local_copy(sendbuf, sendcount, sendtype, at_offset(recvbuf, own_off, recvtype),
-                           recvtype);
-                return MPI_SUCCESS;
-            });
-        }
-        // Post everything, then drain: the i-variant shape, re-armable.
-        std::vector<int> slots;
-        slots.reserve(static_cast<std::size_t>(p));
-        for (int i = 0; i < p; ++i) {
-            if (i == r) continue;
-            slots.push_back(s->post(i, 0, at_offset(recvbuf, displs[i], recvtype), recvcounts[i],
-                                    recvtype));
-        }
-        for (int const slot : slots) s->wait(slot);
-    }
-    return alg::launch_persistent(comm, std::move(s), request);
-}
-
-int MPI_Gather_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                    int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm, int info,
-                    MPI_Request* request) {
-    MPI_Comm const rcomm = resolve(comm);
-    if (rcomm == nullptr) return MPI_ERR_COMM;
-    int const p = rcomm->size();
-    std::vector<int> counts(static_cast<std::size_t>(p), recvcount);
-    std::vector<int> displs(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) displs[static_cast<std::size_t>(i)] = i * recvcount;
-    // counts/displs are baked into the schedule at init; stack copies suffice.
-    return MPI_Gatherv_init(sendbuf, sendcount, sendtype, recvbuf, counts.data(), displs.data(),
-                            recvtype, root, rcomm, info, request);
-}
-
-int MPI_Scatterv_init(const void* sendbuf, const int* sendcounts, const int* displs,
-                      MPI_Datatype sendtype, void* recvbuf, int recvcount, MPI_Datatype recvtype,
-                      int root, MPI_Comm comm, int /*info*/, MPI_Request* request) {
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    if (root < 0 || root >= p) return MPI_ERR_ROOT;
-    std::uint64_t const seq = comm->coll_seq++;
-    auto s = std::make_shared<alg::Schedule>(comm, seq);
-    if (r == root) {
-        for (int i = 0; i < p; ++i) {
-            if (i == r) continue;
-            s->send(i, 0, at_offset(sendbuf, displs[i], sendtype), sendcounts[i], sendtype);
-        }
-        if (recvbuf != MPI_IN_PLACE) {
-            long long const own_off = displs[r];
-            int const own_count = sendcounts[r];
-            s->local([sendbuf, own_off, own_count, sendtype, recvbuf, recvtype]() {
-                local_copy(at_offset(sendbuf, own_off, sendtype), own_count, sendtype, recvbuf,
-                           recvtype);
-                return MPI_SUCCESS;
-            });
-        }
-    } else {
-        s->recv(root, 0, recvbuf, recvcount, recvtype);
-    }
-    return alg::launch_persistent(comm, std::move(s), request);
-}
-
-int MPI_Scatter_init(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
-                     int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm, int info,
-                     MPI_Request* request) {
-    MPI_Comm const rcomm = resolve(comm);
-    if (rcomm == nullptr) return MPI_ERR_COMM;
-    int const p = rcomm->size();
-    std::vector<int> counts(static_cast<std::size_t>(p), sendcount);
-    std::vector<int> displs(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) displs[static_cast<std::size_t>(i)] = i * sendcount;
-    return MPI_Scatterv_init(sendbuf, counts.data(), displs.data(), sendtype, recvbuf, recvcount,
-                             recvtype, root, rcomm, info, request);
-}
-
-int MPI_Iexscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type, MPI_Op op,
-                MPI_Comm comm, MPI_Request* request) {
-    CallScope const call;
-    if (int rc = nb_entry(comm, request); rc != MPI_SUCCESS) return rc;
-    int const p = comm->size();
-    int const r = comm->rank();
-    std::uint64_t const seq = comm->coll_seq++;
-    void const* input = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::size_t const bytes =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(type->extent);
-    int err = MPI_SUCCESS;
-    for (int i = r + 1; i < p && err == MPI_SUCCESS; ++i) {
-        err = csend(comm, i, seq, 0, input, count, type);
-    }
-    std::vector<int> sources;
-    for (int i = 0; i < r; ++i) sources.push_back(i);
-    std::shared_ptr<NbColl> st;
-    if (err == MPI_SUCCESS && r > 0) {
-        err = nb_reduction(
-            comm, seq, std::move(sources), input, count, type, op, /*include_own=*/false,
-            [recvbuf, bytes](NbColl* s) {
-                if (bytes > 0) std::memcpy(recvbuf, s->acc.data(), bytes);
-                return MPI_SUCCESS;
-            },
-            st, r);
-    } else {
-        // Rank 0's exscan result is undefined per the standard; nothing to do.
-        st = std::make_shared<NbColl>();
-    }
-    return nb_launch(comm, std::move(st), err, request);
 }

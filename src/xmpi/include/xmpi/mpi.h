@@ -265,17 +265,18 @@ int MPI_Exscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type,
 int MPI_Reduce_scatter_block(const void* sendbuf, void* recvbuf, int recvcount, MPI_Datatype type,
                              MPI_Op op, MPI_Comm comm);
 
-// Non-blocking collectives. Implemented as progressable generalized requests
-// on the same internal point-to-point engine as their blocking counterparts
-// (the MPI_Ibarrier pattern): the operation's communication schedule is
-// materialized at initiation and executed incrementally as
-// MPI_Wait*/MPI_Test* drive the request's progress state machine.
-// Completion order across multiple outstanding collective requests is
-// unconstrained (wait in any order, or use MPI_Waitall). Ibcast, Ireduce,
-// Iallreduce, Iallgather and Ialltoall run the same selectable algorithms
-// as the blocking calls (see XMPI_T_alg_* below); the remaining i-variants
-// use flat (linear) schedules, the standard shape for nonblocking fallback
-// implementations (cf. libNBC).
+// Non-blocking collectives. Each one builds the same kind of schedule as its
+// blocking counterpart at initiation and wraps it in a progressable
+// generalized request: MPI_Wait*/MPI_Test* (or, when enabled, the
+// asynchronous progress engine) execute it step by step. Completion order
+// across multiple outstanding collective requests is unconstrained (wait in
+// any order, or use MPI_Waitall). Ibcast, Ireduce, Iallreduce, Iallgather
+// and Ialltoall run the same selectable algorithms as the blocking calls
+// (see XMPI_T_alg_* below). Ibarrier, Igather(v) and Iscatter(v) run the
+// blocking shapes (dissemination, linear). A wait progresses only its own
+// request, so Iallgatherv and Ialltoallv send every block at initiation in
+// one all-peer exchange, and Iscan/Iexscan send each input to every higher
+// rank and fold the received ones in rank order.
 int MPI_Igather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                 int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm,
                 MPI_Request* request);

@@ -65,26 +65,23 @@ int neighbor_entry(MPI_Comm& comm) {
     return MPI_SUCCESS;
 }
 
-/// Appends the neighborhood exchange step program: post one receive per
-/// source, deposit one send per destination, then drain the receives.
-/// Self-loops work because the receives are posted before the sends run.
-void build_neighbor_exchange(alg::Schedule& s, const void* sendbuf, const int* sendcounts,
-                             const int* sdispls, MPI_Datatype sendtype, void* recvbuf,
-                             const int* recvcounts, const int* rdispls, MPI_Datatype recvtype) {
+/// The neighborhood exchange over the communicator's adjacency: count and
+/// displacement arrays are indexed by position in the source/destination
+/// lists.
+void build_topo_exchange(alg::Schedule& s, const void* sendbuf, const int* sendcounts,
+                         const int* sdispls, MPI_Datatype sendtype, void* recvbuf,
+                         const int* recvcounts, const int* rdispls, MPI_Datatype recvtype) {
     auto const& topo = *s.comm()->topo;
-    std::vector<int> slots;
-    slots.reserve(topo.sources.size());
-    for (std::size_t j = 0; j < topo.sources.size(); ++j) {
-        auto* dst = static_cast<std::byte*>(recvbuf) +
-                    static_cast<long long>(rdispls[j]) * recvtype->extent;
-        slots.push_back(s.post(topo.sources[j], 0, dst, recvcounts[j], recvtype));
-    }
-    for (std::size_t i = 0; i < topo.destinations.size(); ++i) {
-        auto const* src = static_cast<std::byte const*>(sendbuf) +
-                          static_cast<long long>(sdispls[i]) * sendtype->extent;
-        s.send(topo.destinations[i], 0, src, sendcounts[i], sendtype);
-    }
-    for (int slot : slots) s.wait(slot);
+    alg::build_neighbor_exchange(
+        s, static_cast<int>(topo.sources.size()),
+        [&](int j) {
+            return alg::Msg{topo.sources[static_cast<std::size_t>(j)],
+                            alg::at_offset(recvbuf, rdispls[j], recvtype), recvcounts[j], recvtype};
+        },
+        static_cast<int>(topo.destinations.size()), [&](int i) {
+            return alg::Msg{topo.destinations[static_cast<std::size_t>(i)],
+                            alg::at_offset(sendbuf, sdispls[i], sendtype), sendcounts[i], sendtype};
+        });
 }
 
 /// Uniform-count displacements for the non-v neighborhood collectives.
@@ -115,8 +112,8 @@ int MPI_Neighbor_alltoallv(const void* sendbuf, const int* sendcounts, const int
     CallScope const call;
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     alg::Schedule s(comm, comm->coll_seq++);
-    build_neighbor_exchange(s, sendbuf, sendcounts, sdispls, sendtype, recvbuf, recvcounts,
-                            rdispls, recvtype);
+    build_topo_exchange(s, sendbuf, sendcounts, sdispls, sendtype, recvbuf, recvcounts,
+                        rdispls, recvtype);
     return alg::run_blocking(s);
 }
 
@@ -126,8 +123,8 @@ int MPI_Neighbor_alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendt
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     NeighborCounts const nc(comm, sendcount, recvcount, /*uniform_send=*/false);
     alg::Schedule s(comm, comm->coll_seq++);
-    build_neighbor_exchange(s, sendbuf, nc.scounts.data(), nc.sdispls.data(), sendtype, recvbuf,
-                            nc.rcounts.data(), nc.rdispls.data(), recvtype);
+    build_topo_exchange(s, sendbuf, nc.scounts.data(), nc.sdispls.data(), sendtype, recvbuf,
+                        nc.rcounts.data(), nc.rdispls.data(), recvtype);
     return alg::run_blocking(s);
 }
 
@@ -137,8 +134,8 @@ int MPI_Neighbor_allgather(const void* sendbuf, int sendcount, MPI_Datatype send
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     NeighborCounts const nc(comm, sendcount, recvcount, /*uniform_send=*/true);
     alg::Schedule s(comm, comm->coll_seq++);
-    build_neighbor_exchange(s, sendbuf, nc.scounts.data(), nc.sdispls.data(), sendtype, recvbuf,
-                            nc.rcounts.data(), nc.rdispls.data(), recvtype);
+    build_topo_exchange(s, sendbuf, nc.scounts.data(), nc.sdispls.data(), sendtype, recvbuf,
+                        nc.rcounts.data(), nc.rdispls.data(), recvtype);
     return alg::run_blocking(s);
 }
 
@@ -150,8 +147,8 @@ int MPI_Ineighbor_alltoall(const void* sendbuf, int sendcount, MPI_Datatype send
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     NeighborCounts const nc(comm, sendcount, recvcount, /*uniform_send=*/false);
     auto s = std::make_shared<alg::Schedule>(comm, comm->coll_seq++);
-    build_neighbor_exchange(*s, sendbuf, nc.scounts.data(), nc.sdispls.data(), sendtype, recvbuf,
-                            nc.rcounts.data(), nc.rdispls.data(), recvtype);
+    build_topo_exchange(*s, sendbuf, nc.scounts.data(), nc.sdispls.data(), sendtype, recvbuf,
+                        nc.rcounts.data(), nc.rdispls.data(), recvtype);
     return alg::launch_nonblocking(comm, std::move(s), MPI_SUCCESS, request);
 }
 
@@ -163,7 +160,7 @@ int MPI_Ineighbor_allgather(const void* sendbuf, int sendcount, MPI_Datatype sen
     if (int rc = neighbor_entry(comm); rc != MPI_SUCCESS) return rc;
     NeighborCounts const nc(comm, sendcount, recvcount, /*uniform_send=*/true);
     auto s = std::make_shared<alg::Schedule>(comm, comm->coll_seq++);
-    build_neighbor_exchange(*s, sendbuf, nc.scounts.data(), nc.sdispls.data(), sendtype, recvbuf,
-                            nc.rcounts.data(), nc.rdispls.data(), recvtype);
+    build_topo_exchange(*s, sendbuf, nc.scounts.data(), nc.sdispls.data(), sendtype, recvbuf,
+                        nc.rcounts.data(), nc.rdispls.data(), recvtype);
     return alg::launch_nonblocking(comm, std::move(s), MPI_SUCCESS, request);
 }

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <random>
+#include <string>
 
 #include "xmpi/mpi.h"
 
@@ -57,6 +58,34 @@ struct SegPin {
     ~SegPin() { XMPI_T_segment_set(0); }
     SegPin(SegPin const&) = delete;
     SegPin& operator=(SegPin const&) = delete;
+};
+
+/// Sets an environment variable for the scope and re-resolves every cached
+/// environment knob (XMPI_T_alg_env_refresh); the destructor restores the
+/// previous value (or unsets it) and re-resolves again.
+struct EnvVar {
+    EnvVar(char const* name, std::string const& value) : name_(name) {
+        char const* const old = std::getenv(name);
+        had_ = old != nullptr;
+        if (had_) old_ = old;
+        setenv(name, value.c_str(), 1);
+        XMPI_T_alg_env_refresh();
+    }
+    ~EnvVar() {
+        if (had_) {
+            setenv(name_, old_.c_str(), 1);
+        } else {
+            unsetenv(name_);
+        }
+        XMPI_T_alg_env_refresh();
+    }
+    EnvVar(EnvVar const&) = delete;
+    EnvVar& operator=(EnvVar const&) = delete;
+
+private:
+    char const* name_;
+    bool had_ = false;
+    std::string old_;
 };
 
 /// Clears every XMPI_ALG_* pin for a scope, so tests of *automatic*

@@ -4,9 +4,16 @@
 /// recursive-doubling and composite code paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "../testing_utils.hpp"
 #include "xmpi/mpi.h"
 #include "xmpi/xmpi.hpp"
 
@@ -911,4 +918,833 @@ TEST(PersistentCollective, FreeWhileStartedDrivesToCompletion) {
         ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
         EXPECT_EQ(out, 6);
     });
+}
+
+// ---------------------------------------------------------------------------
+// Flavour parity. Every collective that runs a fixed-shape schedule, in each
+// flavour mpi.h offers (blocking, MPI_I*, *_init + MPI_Start), against a
+// sequential oracle, byte for byte: seeded random counts with zero-length
+// blocks and gaps between blocks, MPI_IN_PLACE where the standard allows it,
+// and a non-commutative user op for the scans.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using testing_utils::EnvVar;
+using testing_utils::ProgressPin;
+
+enum class Flavour { blocking, nonblocking, persistent };
+
+char const* flavour_name(Flavour f) {
+    switch (f) {
+        case Flavour::blocking: return "blocking";
+        case Flavour::nonblocking: return "nonblocking";
+        case Flavour::persistent: return "persistent";
+    }
+    return "?";
+}
+
+/// The entry points of one collective; an empty member is a flavour mpi.h
+/// does not offer.
+struct Calls {
+    std::function<int()> blocking;
+    std::function<int(MPI_Request*)> nonblocking;
+    std::function<int(MPI_Request*)> persistent;
+};
+
+/// Issues the collective in `f` and drives it to completion. A persistent
+/// request is started twice (its inputs are unchanged, so the result is the
+/// same) and freed.
+int drive(Flavour f, Calls const& c) {
+    MPI_Request req = MPI_REQUEST_NULL;
+    switch (f) {
+        case Flavour::blocking: return c.blocking();
+        case Flavour::nonblocking:
+            if (int rc = c.nonblocking(&req); rc != MPI_SUCCESS) return rc;
+            return MPI_Wait(&req, MPI_STATUS_IGNORE);
+        case Flavour::persistent:
+            if (int rc = c.persistent(&req); rc != MPI_SUCCESS) return rc;
+            for (int k = 0; k < 2; ++k) {
+                if (int rc = MPI_Start(&req); rc != MPI_SUCCESS) return rc;
+                if (int rc = MPI_Wait(&req, MPI_STATUS_IGNORE); rc != MPI_SUCCESS) return rc;
+            }
+            return MPI_Request_free(&req);
+    }
+    return MPI_ERR_OTHER;
+}
+
+/// splitmix64: a portable hash, so every rank (and every standard library)
+/// derives the same counts and payloads from one seed.
+std::uint64_t mix(std::uint64_t x) {
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+}
+
+std::uint64_t draw(std::uint64_t seed, int a, int b) {
+    return mix(seed ^ mix(static_cast<std::uint64_t>(a) * 1000003u + static_cast<std::uint64_t>(b)));
+}
+
+/// Length of the block rank `i` sends toward `j` (or of slot `i` of a table
+/// `j`): 0..3 elements, so zero-length blocks are common.
+int count_of(std::uint64_t seed, int i, int j) { return static_cast<int>(draw(seed, i, j) % 4); }
+
+/// Element `k` of the block rank `i` contributes toward `j`.
+std::uint64_t value_of(std::uint64_t seed, int i, int j, int k) {
+    return draw(seed, i * 4099 + j + 17, k);
+}
+
+constexpr std::uint64_t kSentinel = 0xABABABABABABABABull;
+
+std::size_t idx(int i) { return static_cast<std::size_t>(i); }
+
+/// counts[i] = count_of(seed, i, table) and displacements with a 0/1-element
+/// gap before each block; returns the buffer length (elements).
+int layout(std::uint64_t seed, int p, int table, std::vector<int>& counts,
+           std::vector<int>& displs) {
+    counts.assign(idx(p), 0);
+    displs.assign(idx(p), 0);
+    int at = 0;
+    for (int i = 0; i < p; ++i) {
+        at += static_cast<int>(draw(seed, i, table + 100) % 2);
+        counts[idx(i)] = count_of(seed, i, table);
+        displs[idx(i)] = at;
+        at += counts[idx(i)];
+    }
+    return at + 1;
+}
+
+std::vector<std::uint64_t> block(std::uint64_t seed, int i, int j, int n) {
+    std::vector<std::uint64_t> b(idx(n));
+    for (int k = 0; k < n; ++k) b[idx(k)] = value_of(seed, i, j, k);
+    return b;
+}
+
+int root_of(std::uint64_t seed, int p) { return static_cast<int>(draw(seed, 7, 7) % static_cast<std::uint64_t>(p)); }
+
+MPI_Datatype const& U64 = MPI_UINT64_T;
+
+/// Affine maps x -> a*x + b as (a, b) pairs of uint64: composition is
+/// associative but not commutative. `in` is the lower-rank (left) operand,
+/// applied first.
+void compose(std::uint64_t const* f, std::uint64_t* g) {
+    std::uint64_t const a = g[0] * f[0];
+    std::uint64_t const b = g[0] * f[1] + g[1];
+    g[0] = a;
+    g[1] = b;
+}
+
+MPI_Op affine_op() {
+    static MPI_Op op = [] {
+        MPI_Op o = MPI_OP_NULL;
+        MPI_Op_create(
+            [](void* in, void* inout, int* len, MPI_Datatype*) {
+                for (int i = 0; i + 1 < *len; i += 2) {
+                    compose(static_cast<std::uint64_t const*>(in) + i,
+                            static_cast<std::uint64_t*>(inout) + i);
+                }
+            },
+            /*commute=*/0, &o);
+        return o;
+    }();
+    return op;
+}
+
+using Body = void (*)(int rank, int p, Flavour f, std::uint64_t seed, bool in_place);
+
+void barrier_body(int rank, int p, Flavour f, std::uint64_t, bool) {
+    // Virtual time is causal: nobody leaves before the last rank arrived.
+    xmpi::vtime_add(1e-3 * rank);
+    MPI_Comm const W = MPI_COMM_WORLD;
+    Calls const c{[&] { return MPI_Barrier(W); }, [&](MPI_Request* r) { return MPI_Ibarrier(W, r); },
+                  [&](MPI_Request* r) { return MPI_Barrier_init(W, MPI_INFO_NULL, r); }};
+    ASSERT_EQ(drive(f, c), MPI_SUCCESS);
+    EXPECT_GE(xmpi::vtime_now(), 1e-3 * (p - 1));
+}
+
+void gatherv_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place, bool uniform) {
+    std::vector<int> counts, displs;
+    int len = layout(seed, p, 0, counts, displs);
+    if (uniform) {
+        for (int i = 0; i < p; ++i) {
+            counts[idx(i)] = counts[0];
+            displs[idx(i)] = i * counts[0];
+        }
+        len = p * counts[0] + 1;
+    }
+    int const root = root_of(seed, p);
+    auto const mine = block(seed, rank, 0, counts[idx(rank)]);
+    std::vector<std::uint64_t> recv(idx(len), kSentinel);
+    void const* sbuf = mine.data();
+    if (in_place && rank == root) {
+        std::copy(mine.begin(), mine.end(), recv.begin() + displs[idx(rank)]);
+        sbuf = MPI_IN_PLACE;
+    }
+    int const n = counts[idx(rank)];
+    int const* rc = counts.data();
+    int const* rd = displs.data();
+    MPI_Comm const W = MPI_COMM_WORLD;
+    Calls c;
+    if (uniform) {
+        c = {[&] { return MPI_Gather(sbuf, n, U64, recv.data(), n, U64, root, W); },
+             [&](MPI_Request* r) { return MPI_Igather(sbuf, n, U64, recv.data(), n, U64, root, W, r); },
+             [&](MPI_Request* r) {
+                 return MPI_Gather_init(sbuf, n, U64, recv.data(), n, U64, root, W, MPI_INFO_NULL, r);
+             }};
+    } else {
+        c = {[&] { return MPI_Gatherv(sbuf, n, U64, recv.data(), rc, rd, U64, root, W); },
+             [&](MPI_Request* r) {
+                 return MPI_Igatherv(sbuf, n, U64, recv.data(), rc, rd, U64, root, W, r);
+             },
+             [&](MPI_Request* r) {
+                 return MPI_Gatherv_init(sbuf, n, U64, recv.data(), rc, rd, U64, root, W,
+                                         MPI_INFO_NULL, r);
+             }};
+    }
+    ASSERT_EQ(drive(f, c), MPI_SUCCESS);
+    if (rank != root) return;
+    std::vector<std::uint64_t> expect(idx(len), kSentinel);
+    for (int i = 0; i < p; ++i) {
+        auto const b = block(seed, i, 0, counts[idx(i)]);
+        std::copy(b.begin(), b.end(), expect.begin() + displs[idx(i)]);
+    }
+    EXPECT_EQ(recv, expect);
+}
+
+void gather_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place) {
+    gatherv_body(rank, p, f, seed, in_place, true);
+}
+void gatherv_var_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place) {
+    gatherv_body(rank, p, f, seed, in_place, false);
+}
+
+void scatterv_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place, bool uniform) {
+    std::vector<int> counts, displs;
+    int len = layout(seed, p, 1, counts, displs);
+    if (uniform) {
+        for (int i = 0; i < p; ++i) {
+            counts[idx(i)] = counts[0];
+            displs[idx(i)] = i * counts[0];
+        }
+        len = p * counts[0] + 1;
+    }
+    int const root = root_of(seed, p);
+    std::vector<std::uint64_t> send(idx(len), kSentinel);
+    if (rank == root) {
+        for (int i = 0; i < p; ++i) {
+            auto const b = block(seed, i, 1, counts[idx(i)]);
+            std::copy(b.begin(), b.end(), send.begin() + displs[idx(i)]);
+        }
+    }
+    int const n = counts[idx(rank)];
+    std::vector<std::uint64_t> recv(idx(n) + 1, kSentinel);
+    void* rbuf = in_place && rank == root ? MPI_IN_PLACE : recv.data();
+    int const* sc = counts.data();
+    int const* sd = displs.data();
+    MPI_Comm const W = MPI_COMM_WORLD;
+    Calls c;
+    if (uniform) {
+        c = {[&] { return MPI_Scatter(send.data(), n, U64, rbuf, n, U64, root, W); },
+             [&](MPI_Request* r) {
+                 return MPI_Iscatter(send.data(), n, U64, rbuf, n, U64, root, W, r);
+             },
+             [&](MPI_Request* r) {
+                 return MPI_Scatter_init(send.data(), n, U64, rbuf, n, U64, root, W, MPI_INFO_NULL,
+                                         r);
+             }};
+    } else {
+        c = {[&] { return MPI_Scatterv(send.data(), sc, sd, U64, rbuf, n, U64, root, W); },
+             [&](MPI_Request* r) {
+                 return MPI_Iscatterv(send.data(), sc, sd, U64, rbuf, n, U64, root, W, r);
+             },
+             [&](MPI_Request* r) {
+                 return MPI_Scatterv_init(send.data(), sc, sd, U64, rbuf, n, U64, root, W,
+                                          MPI_INFO_NULL, r);
+             }};
+    }
+    ASSERT_EQ(drive(f, c), MPI_SUCCESS);
+    std::vector<std::uint64_t> expect(idx(n) + 1, kSentinel);
+    if (rbuf != MPI_IN_PLACE) {
+        auto const b = block(seed, rank, 1, n);
+        std::copy(b.begin(), b.end(), expect.begin());
+    }
+    EXPECT_EQ(recv, expect);
+}
+
+void scatter_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place) {
+    scatterv_body(rank, p, f, seed, in_place, true);
+}
+void scatterv_var_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place) {
+    scatterv_body(rank, p, f, seed, in_place, false);
+}
+
+void allgatherv_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place) {
+    std::vector<int> counts, displs;
+    int const len = layout(seed, p, 2, counts, displs);
+    auto const mine = block(seed, rank, 2, counts[idx(rank)]);
+    std::vector<std::uint64_t> recv(idx(len), kSentinel);
+    void const* sbuf = mine.data();
+    if (in_place) {
+        std::copy(mine.begin(), mine.end(), recv.begin() + displs[idx(rank)]);
+        sbuf = MPI_IN_PLACE;
+    }
+    int const n = counts[idx(rank)];
+    MPI_Comm const W = MPI_COMM_WORLD;
+    Calls const c{
+        [&] { return MPI_Allgatherv(sbuf, n, U64, recv.data(), counts.data(), displs.data(), U64, W); },
+        [&](MPI_Request* r) {
+            return MPI_Iallgatherv(sbuf, n, U64, recv.data(), counts.data(), displs.data(), U64, W,
+                                   r);
+        },
+        {}};
+    ASSERT_EQ(drive(f, c), MPI_SUCCESS);
+    std::vector<std::uint64_t> expect(idx(len), kSentinel);
+    for (int i = 0; i < p; ++i) {
+        auto const b = block(seed, i, 2, counts[idx(i)]);
+        std::copy(b.begin(), b.end(), expect.begin() + displs[idx(i)]);
+    }
+    EXPECT_EQ(recv, expect);
+}
+
+/// Per-peer layouts of an all-to-all exchange: block i->j has
+/// count_of(seed, i, j + 8) elements; each side packs its blocks with
+/// 0/1-element gaps.
+struct A2aLayout {
+    std::vector<int> scounts, sdispls, rcounts, rdispls;
+    int slen = 1, rlen = 1;
+    A2aLayout(std::uint64_t seed, int p, int rank) {
+        for (int j = 0; j < p; ++j) {
+            slen += static_cast<int>(draw(seed, rank, j + 200) % 2);
+            scounts.push_back(count_of(seed, rank, j + 8));
+            sdispls.push_back(slen - 1);
+            slen += scounts.back();
+            rlen += static_cast<int>(draw(seed, j, rank + 300) % 2);
+            rcounts.push_back(count_of(seed, j, rank + 8));
+            rdispls.push_back(rlen - 1);
+            rlen += rcounts.back();
+        }
+    }
+};
+
+void alltoallv_body(int rank, int p, Flavour f, std::uint64_t seed, bool) {
+    A2aLayout const l(seed, p, rank);
+    std::vector<std::uint64_t> send(idx(l.slen), kSentinel);
+    for (int j = 0; j < p; ++j) {
+        auto const b = block(seed, rank, j + 8, l.scounts[idx(j)]);
+        std::copy(b.begin(), b.end(), send.begin() + l.sdispls[idx(j)]);
+    }
+    std::vector<std::uint64_t> recv(idx(l.rlen), kSentinel);
+    MPI_Comm const W = MPI_COMM_WORLD;
+    Calls const c{[&] {
+                      return MPI_Alltoallv(send.data(), l.scounts.data(), l.sdispls.data(), U64,
+                                           recv.data(), l.rcounts.data(), l.rdispls.data(), U64, W);
+                  },
+                  [&](MPI_Request* r) {
+                      return MPI_Ialltoallv(send.data(), l.scounts.data(), l.sdispls.data(), U64,
+                                            recv.data(), l.rcounts.data(), l.rdispls.data(), U64,
+                                            W, r);
+                  },
+                  {}};
+    ASSERT_EQ(drive(f, c), MPI_SUCCESS);
+    std::vector<std::uint64_t> expect(idx(l.rlen), kSentinel);
+    for (int i = 0; i < p; ++i) {
+        auto const b = block(seed, i, rank + 8, l.rcounts[idx(i)]);
+        std::copy(b.begin(), b.end(), expect.begin() + l.rdispls[idx(i)]);
+    }
+    EXPECT_EQ(recv, expect);
+}
+
+void alltoallw_body(int rank, int p, Flavour f, std::uint64_t seed, bool) {
+    // Pairs with an odd rank sum move pairs of uint64 (a derived type); the
+    // rest move plain uint64. Displacements are in bytes.
+    MPI_Datatype pair = MPI_DATATYPE_NULL;
+    ASSERT_EQ(MPI_Type_contiguous(2, U64, &pair), MPI_SUCCESS);
+    ASSERT_EQ(MPI_Type_commit(&pair), MPI_SUCCESS);
+    auto width = [](int i, int j) { return (i + j) % 2 == 1 ? 2 : 1; };
+    A2aLayout const l(seed, p, rank);
+    std::vector<MPI_Datatype> stypes, rtypes;
+    std::vector<int> sbytes, rbytes;
+    for (int j = 0; j < p; ++j) {
+        stypes.push_back(width(rank, j) == 2 ? pair : U64);
+        rtypes.push_back(width(j, rank) == 2 ? pair : U64);
+    }
+    // Element offsets scale by the widest type so blocks cannot overlap.
+    std::vector<std::uint64_t> send(idx(2 * l.slen), kSentinel);
+    std::vector<std::uint64_t> recv(idx(2 * l.rlen), kSentinel);
+    std::vector<std::uint64_t> expect(idx(2 * l.rlen), kSentinel);
+    for (int j = 0; j < p; ++j) {
+        auto const b = block(seed, rank, j + 8, l.scounts[idx(j)] * width(rank, j));
+        std::copy(b.begin(), b.end(), send.begin() + 2 * l.sdispls[idx(j)]);
+        sbytes.push_back(2 * l.sdispls[idx(j)] * 8);
+        auto const e = block(seed, j, rank + 8, l.rcounts[idx(j)] * width(j, rank));
+        std::copy(e.begin(), e.end(), expect.begin() + 2 * l.rdispls[idx(j)]);
+        rbytes.push_back(2 * l.rdispls[idx(j)] * 8);
+    }
+    ASSERT_EQ(f, Flavour::blocking);
+    ASSERT_EQ(MPI_Alltoallw(send.data(), l.scounts.data(), sbytes.data(), stypes.data(),
+                            recv.data(), l.rcounts.data(), rbytes.data(), rtypes.data(),
+                            MPI_COMM_WORLD),
+              MPI_SUCCESS);
+    EXPECT_EQ(recv, expect);
+    MPI_Type_free(&pair);
+}
+
+void scan_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place, bool inclusive) {
+    (void)p;
+    int const n = 2 * count_of(seed, 0, 4);  // affine pairs; may be empty
+    auto const mine = block(seed, rank, 4, n);
+    std::vector<std::uint64_t> recv(idx(n) + 1, kSentinel);
+    void const* sbuf = mine.data();
+    if (in_place) {
+        std::copy(mine.begin(), mine.end(), recv.begin());
+        sbuf = MPI_IN_PLACE;
+    }
+    MPI_Op const op = affine_op();
+    MPI_Comm const W = MPI_COMM_WORLD;
+    Calls const c =
+        inclusive
+            ? Calls{[&] { return MPI_Scan(sbuf, recv.data(), n, U64, op, W); },
+                    [&](MPI_Request* r) { return MPI_Iscan(sbuf, recv.data(), n, U64, op, W, r); },
+                    {}}
+            : Calls{[&] { return MPI_Exscan(sbuf, recv.data(), n, U64, op, W); },
+                    [&](MPI_Request* r) { return MPI_Iexscan(sbuf, recv.data(), n, U64, op, W, r); },
+                    {}};
+    ASSERT_EQ(drive(f, c), MPI_SUCCESS);
+    int const last = inclusive ? rank : rank - 1;
+    if (last < 0) return;  // rank 0's exscan result is undefined
+    std::vector<std::uint64_t> expect = block(seed, 0, 4, n);
+    for (int i = 1; i <= last; ++i) {
+        auto b = block(seed, i, 4, n);
+        for (int k = 0; k + 1 < n; k += 2) compose(&expect[idx(k)], &b[idx(k)]);
+        expect = b;
+    }
+    expect.push_back(kSentinel);
+    EXPECT_EQ(recv, expect);
+}
+
+void scan_incl_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place) {
+    scan_body(rank, p, f, seed, in_place, true);
+}
+void exscan_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place) {
+    scan_body(rank, p, f, seed, in_place, false);
+}
+
+void reduce_scatter_block_body(int rank, int p, Flavour f, std::uint64_t seed, bool in_place) {
+    int const n = count_of(seed, 0, 5);
+    auto const mine = block(seed, rank, 5, n * p);
+    // In place, the input is the first n*p elements of the receive buffer.
+    std::vector<std::uint64_t> recv(idx(in_place ? n * p : n) + 1, kSentinel);
+    void const* sbuf = mine.data();
+    if (in_place) {
+        std::copy(mine.begin(), mine.end(), recv.begin());
+        sbuf = MPI_IN_PLACE;
+    }
+    ASSERT_EQ(f, Flavour::blocking);
+    ASSERT_EQ(MPI_Reduce_scatter_block(sbuf, recv.data(), n, U64, MPI_SUM, MPI_COMM_WORLD),
+              MPI_SUCCESS);
+    recv.resize(idx(n));
+    std::vector<std::uint64_t> expect(idx(n), 0);
+    for (int i = 0; i < p; ++i) {
+        auto const b = block(seed, i, 5, n * p);
+        for (int k = 0; k < n; ++k) expect[idx(k)] += b[idx(rank * n + k)];
+    }
+    EXPECT_EQ(recv, expect);
+}
+
+struct Case {
+    char const* name;
+    Body body;
+    std::vector<Flavour> flavours;
+    bool in_place;  ///< MPI_IN_PLACE is allowed
+};
+
+std::vector<Case> const& fixed_shape_cases() {
+    using F = Flavour;
+    static std::vector<Case> const cases = {
+        {"barrier", barrier_body, {F::blocking, F::nonblocking, F::persistent}, false},
+        {"gather", gather_body, {F::blocking, F::nonblocking, F::persistent}, true},
+        {"gatherv", gatherv_var_body, {F::blocking, F::nonblocking, F::persistent}, true},
+        {"scatter", scatter_body, {F::blocking, F::nonblocking, F::persistent}, true},
+        {"scatterv", scatterv_var_body, {F::blocking, F::nonblocking, F::persistent}, true},
+        {"allgatherv", allgatherv_body, {F::blocking, F::nonblocking}, true},
+        {"alltoallv", alltoallv_body, {F::blocking, F::nonblocking}, false},
+        {"alltoallw", alltoallw_body, {F::blocking}, false},
+        {"scan", scan_incl_body, {F::blocking, F::nonblocking}, true},
+        {"exscan", exscan_body, {F::blocking, F::nonblocking}, true},
+        {"reduce_scatter_block", reduce_scatter_block_body, {F::blocking}, true},
+    };
+    return cases;
+}
+
+/// Runs every case in every flavour (and in place where allowed) on each
+/// size, each draw from its own seed.
+void run_parity(testing_utils::SeededRng& rng) {
+    for (int const p : {1, 2, 3, 4, 5, 8}) {
+        for (Case const& c : fixed_shape_cases()) {
+            for (Flavour const f : c.flavours) {
+                for (bool const in_place : {false, true}) {
+                    if (in_place && !c.in_place) continue;
+                    std::uint64_t const seed = rng.engine()();
+                    SCOPED_TRACE(std::string(c.name) + " " + flavour_name(f) +
+                                 (in_place ? " in-place" : "") + " p=" + std::to_string(p) +
+                                 " seed=" + std::to_string(seed));
+                    xmpi::run(p, [&](int rank) { c.body(rank, p, f, seed, in_place); });
+                }
+            }
+        }
+    }
+}
+
+}  // namespace
+
+TEST(FlavourParity, FixedShapeCollectivesMatchOracle) {
+    testing_utils::SeededRng rng;
+    run_parity(rng);
+}
+
+TEST(FlavourParity, FixedShapeCollectivesMatchOracleUnderForcedOffload) {
+    // Every nonblocking and started-persistent schedule goes to a progress
+    // worker.
+    ProgressPin const engine(1);
+    EnvVar const gate("XMPI_PROGRESS_MIN_BYTES", "0");
+    testing_utils::SeededRng rng;
+    run_parity(rng);
+}
+
+// Out-of-range roots fail with MPI_ERR_ROOT on every rank, in every flavour,
+// before any message moves (so nobody hangs).
+TEST(FlavourParity, OutOfRangeRootIsRejected) {
+    int const p = 4;
+    xmpi::run(p, [p](int rank) {
+        std::vector<std::uint64_t> buf(idx(2 * p), 0);
+        std::vector<int> counts(idx(p), 1), displs(idx(p));
+        for (int i = 0; i < p; ++i) displs[idx(i)] = i;
+        void* b = buf.data();
+        MPI_Comm const W = MPI_COMM_WORLD;
+        int const* c = counts.data();
+        int const* d = displs.data();
+        for (int const root : {-1, p}) {
+            using Issue = std::function<int(MPI_Request*)>;
+            struct Rooted {
+                char const* name;
+                Issue blocking, nonblocking, persistent;
+            };
+            Rooted const calls[] = {
+                {"bcast", [&](MPI_Request*) { return MPI_Bcast(b, 1, U64, root, W); },
+                 [&](MPI_Request* r) { return MPI_Ibcast(b, 1, U64, root, W, r); },
+                 [&](MPI_Request* r) { return MPI_Bcast_init(b, 1, U64, root, W, 0, r); }},
+                {"reduce",
+                 [&](MPI_Request*) { return MPI_Reduce(b, b, 1, U64, MPI_SUM, root, W); },
+                 [&](MPI_Request* r) { return MPI_Ireduce(b, b, 1, U64, MPI_SUM, root, W, r); },
+                 [&](MPI_Request* r) {
+                     return MPI_Reduce_init(b, b, 1, U64, MPI_SUM, root, W, 0, r);
+                 }},
+                {"gather",
+                 [&](MPI_Request*) { return MPI_Gather(b, 1, U64, b, 1, U64, root, W); },
+                 [&](MPI_Request* r) { return MPI_Igather(b, 1, U64, b, 1, U64, root, W, r); },
+                 [&](MPI_Request* r) {
+                     return MPI_Gather_init(b, 1, U64, b, 1, U64, root, W, 0, r);
+                 }},
+                {"gatherv",
+                 [&](MPI_Request*) { return MPI_Gatherv(b, 1, U64, b, c, d, U64, root, W); },
+                 [&](MPI_Request* r) {
+                     return MPI_Igatherv(b, 1, U64, b, c, d, U64, root, W, r);
+                 },
+                 [&](MPI_Request* r) {
+                     return MPI_Gatherv_init(b, 1, U64, b, c, d, U64, root, W, 0, r);
+                 }},
+                {"scatter",
+                 [&](MPI_Request*) { return MPI_Scatter(b, 1, U64, b, 1, U64, root, W); },
+                 [&](MPI_Request* r) { return MPI_Iscatter(b, 1, U64, b, 1, U64, root, W, r); },
+                 [&](MPI_Request* r) {
+                     return MPI_Scatter_init(b, 1, U64, b, 1, U64, root, W, 0, r);
+                 }},
+                {"scatterv",
+                 [&](MPI_Request*) { return MPI_Scatterv(b, c, d, U64, b, 1, U64, root, W); },
+                 [&](MPI_Request* r) {
+                     return MPI_Iscatterv(b, c, d, U64, b, 1, U64, root, W, r);
+                 },
+                 [&](MPI_Request* r) {
+                     return MPI_Scatterv_init(b, c, d, U64, b, 1, U64, root, W, 0, r);
+                 }},
+            };
+            for (Rooted const& call : calls) {
+                SCOPED_TRACE(std::string(call.name) + " root=" + std::to_string(root) +
+                             " rank=" + std::to_string(rank));
+                MPI_Request req = MPI_REQUEST_NULL;
+                EXPECT_EQ(call.blocking(nullptr), MPI_ERR_ROOT);
+                EXPECT_EQ(call.nonblocking(&req), MPI_ERR_ROOT);
+                EXPECT_EQ(req, MPI_REQUEST_NULL);
+                EXPECT_EQ(call.persistent(&req), MPI_ERR_ROOT);
+                EXPECT_EQ(req, MPI_REQUEST_NULL);
+            }
+        }
+        // The communicator is still usable: nothing was left in flight.
+        ASSERT_EQ(MPI_Barrier(W), MPI_SUCCESS);
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Virtual-time goldens. With compute charging off (compute_scale = 0) a
+// collective's makespan is pure cost-model arithmetic over its messages, so
+// it pins the exact message pattern: sends, their order and their sizes.
+// Any change to a shape shows up here bit for bit; re-record a value only
+// when a message pattern is meant to change. Topology, progress engine,
+// segment size and the algorithm-backed families are pinned, so the
+// environment of any CI leg cannot move them.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct Golden {
+    char const* key;
+    double vtime;
+};
+
+// clang-format off
+Golden const kGoldenVtime[] = {
+    {"barrier/blocking/3", 0x1.06b880e56dad8p-9},
+    {"barrier/nonblocking/3", 0x1.06b880e56dad8p-9},
+    {"barrier/persistent/3", 0x1.074c249bc0bb4p-9},
+    {"gather/blocking/3", 0x1.28ff3aa3b904p-19},
+    {"gather/nonblocking/3", 0x1.28ff3aa3b904p-19},
+    {"gather/persistent/3", 0x1.43d72d3e75b34p-19},
+    {"gatherv/blocking/3", 0x1.27476ca61b882p-19},
+    {"gatherv/nonblocking/3", 0x1.27476ca61b882p-19},
+    {"gatherv/persistent/3", 0x1.421f5f40d8376p-19},
+    {"scatter/blocking/3", 0x1.43d72d3e75b34p-19},
+    {"scatter/nonblocking/3", 0x1.43d72d3e75b34p-19},
+    {"scatter/persistent/3", 0x1.79871273ef11dp-19},
+    {"scatterv/blocking/3", 0x1.421f5f40d8376p-19},
+    {"scatterv/nonblocking/3", 0x1.421f5f40d8376p-19},
+    {"scatterv/persistent/3", 0x1.77cf44765195fp-19},
+    {"allgatherv/blocking/3", 0x1.29db21a287c1ep-18},
+    {"allgatherv/nonblocking/3", 0x1.44b3143d44713p-19},
+    {"alltoallv/blocking/3", 0x1.29db21a287c1ep-18},
+    {"alltoallv/nonblocking/3", 0x1.44b3143d44713p-19},
+    {"alltoallw/blocking/3", 0x1.29db21a287c1ep-18},
+    {"scan/blocking/3", 0x1.421f5f40d8376p-19},
+    {"scan/nonblocking/3", 0x1.421f5f40d8376p-19},
+    {"exscan/blocking/3", 0x1.27476ca61b882p-18},
+    {"exscan/nonblocking/3", 0x1.421f5f40d8376p-19},
+    {"reduce_scatter_block/blocking/3", 0x1.382301eeb4d77p-18},
+    {"bcast/blocking/3", 0x1.44b3143d44713p-19},
+    {"bcast/nonblocking/3", 0x1.44b3143d44713p-19},
+    {"bcast/persistent/3", 0x1.7a62f972bdcfcp-19},
+    {"reduce/blocking/3", 0x1.29db21a287c1fp-19},
+    {"reduce/nonblocking/3", 0x1.29db21a287c1fp-19},
+    {"reduce/persistent/3", 0x1.44b3143d44713p-19},
+    {"allgather/blocking/3", 0x1.29db21a287c1ep-18},
+    {"allgather/nonblocking/3", 0x1.29db21a287c1ep-18},
+    {"allgather/persistent/3", 0x1.29db21a287c1dp-17},
+    {"allreduce/blocking/3", 0x1.37471aefe6198p-18},
+    {"allreduce/nonblocking/3", 0x1.37471aefe6198p-18},
+    {"allreduce/persistent/3", 0x1.37471aefe6197p-17},
+    {"alltoall/blocking/3", 0x1.29db21a287c1ep-18},
+    {"alltoall/nonblocking/3", 0x1.29db21a287c1ep-18},
+    {"alltoall/persistent/3", 0x1.29db21a287c1dp-17},
+    {"barrier/blocking/4", 0x1.89caef7cfafd6p-9},
+    {"barrier/nonblocking/4", 0x1.89caef7cfafd6p-9},
+    {"barrier/persistent/4", 0x1.8a5e93334e0b2p-9},
+    {"gather/blocking/4", 0x1.28ff3aa3b904p-19},
+    {"gather/nonblocking/4", 0x1.28ff3aa3b904p-19},
+    {"gather/persistent/4", 0x1.43d72d3e75b34p-19},
+    {"gatherv/blocking/4", 0x1.28ff3aa3b904p-19},
+    {"gatherv/nonblocking/4", 0x1.28ff3aa3b904p-19},
+    {"gatherv/persistent/4", 0x1.43d72d3e75b34p-19},
+    {"scatter/blocking/4", 0x1.5eaf1fd932628p-19},
+    {"scatter/nonblocking/4", 0x1.5eaf1fd932628p-19},
+    {"scatter/persistent/4", 0x1.af36f7a968706p-19},
+    {"scatterv/blocking/4", 0x1.5cf751db94e6ap-19},
+    {"scatterv/nonblocking/4", 0x1.5cf751db94e6ap-19},
+    {"scatterv/persistent/4", 0x1.ad7f29abcaf48p-19},
+    {"allgatherv/blocking/4", 0x1.bec8b273cba2cp-18},
+    {"allgatherv/nonblocking/4", 0x1.5f8b06d801207p-19},
+    {"alltoallv/blocking/4", 0x1.bd10e4762e26fp-18},
+    {"alltoallv/nonblocking/4", 0x1.5eaf1fd932628p-19},
+    {"alltoallw/blocking/4", 0x1.bdeccb74fce4ep-18},
+    {"scan/blocking/4", 0x1.27476ca61b882p-18},
+    {"scan/nonblocking/4", 0x1.5cf751db94e6ap-19},
+    {"exscan/blocking/4", 0x1.34b365f379dfcp-18},
+    {"exscan/nonblocking/4", 0x1.5cf751db94e6ap-19},
+    {"reduce_scatter_block/blocking/4", 0x1.dd7e34892aa8dp-18},
+    {"bcast/blocking/4", 0x1.29db21a287c1ep-18},
+    {"bcast/nonblocking/4", 0x1.29db21a287c1ep-18},
+    {"bcast/persistent/4", 0x1.44b3143d44712p-18},
+    {"reduce/blocking/4", 0x1.bec8b273cba2cp-18},
+    {"reduce/nonblocking/4", 0x1.bec8b273cba2cp-18},
+    {"reduce/persistent/4", 0x1.bec8b273cba2bp-17},
+    {"allgather/blocking/4", 0x1.bec8b273cba2cp-18},
+    {"allgather/nonblocking/4", 0x1.bec8b273cba2cp-18},
+    {"allgather/persistent/4", 0x1.bec8b273cba2bp-17},
+    {"allreduce/blocking/4", 0x1.29db21a287c1dp-17},
+    {"allreduce/nonblocking/4", 0x1.29db21a287c1dp-17},
+    {"allreduce/persistent/4", 0x1.29db21a287c1fp-16},
+    {"alltoall/blocking/4", 0x1.2c6ed69ef3fbbp-18},
+    {"alltoall/nonblocking/4", 0x1.2c6ed69ef3fbbp-18},
+    {"alltoall/persistent/4", 0x1.2c6ed69ef3fbbp-17},
+    {"barrier/blocking/8", 0x1.cb2f3ddb2ce1ep-8},
+    {"barrier/nonblocking/8", 0x1.cb2f3ddb2ce1ep-8},
+    {"barrier/persistent/8", 0x1.cb9df8a3eb2c3p-8},
+    {"gather/blocking/8", 0x1.28ff3aa3b904p-19},
+    {"gather/nonblocking/8", 0x1.28ff3aa3b904p-19},
+    {"gather/persistent/8", 0x1.43d72d3e75b34p-19},
+    {"gatherv/blocking/8", 0x1.29db21a287c1fp-19},
+    {"gatherv/nonblocking/8", 0x1.29db21a287c1fp-19},
+    {"gatherv/persistent/8", 0x1.44b3143d44713p-19},
+    {"scatter/blocking/8", 0x1.ca0eea44251fap-19},
+    {"scatter/nonblocking/8", 0x1.ca0eea44251fap-19},
+    {"scatter/persistent/8", 0x1.42fb463fa6f55p-18},
+    {"scatterv/blocking/8", 0x1.caead142f3dd9p-19},
+    {"scatterv/nonblocking/8", 0x1.caead142f3dd9p-19},
+    {"scatterv/persistent/8", 0x1.436939bf0e544p-18},
+    {"allgatherv/blocking/8", 0x1.049fbd6e36c9ap-16},
+    {"allgatherv/nonblocking/8", 0x1.caead142f3dd9p-19},
+    {"alltoallv/blocking/8", 0x1.04164d0ef592fp-16},
+    {"alltoallv/nonblocking/8", 0x1.caead142f3dd9p-19},
+    {"alltoallw/blocking/8", 0x1.050db0ed9e289p-16},
+    {"scan/blocking/8", 0x1.baeb22f9294c2p-18},
+    {"scan/nonblocking/8", 0x1.c8571c4687a3cp-19},
+    {"exscan/blocking/8", 0x1.c8571c4687a3cp-18},
+    {"exscan/nonblocking/8", 0x1.c8571c4687a3cp-19},
+    {"reduce_scatter_block/blocking/8", 0x1.5a481fff4ed51p-17},
+    {"bcast/blocking/8", 0x1.bec8b273cba2cp-18},
+    {"bcast/nonblocking/8", 0x1.bec8b273cba2cp-18},
+    {"bcast/persistent/8", 0x1.e70c9e5be6a9ap-18},
+    {"reduce/blocking/8", 0x1.29db21a287c1dp-17},
+    {"reduce/nonblocking/8", 0x1.29db21a287c1dp-17},
+    {"reduce/persistent/8", 0x1.29db21a287c1fp-16},
+    {"allgather/blocking/8", 0x1.049fbd6e36c9ap-16},
+    {"allgather/nonblocking/8", 0x1.049fbd6e36c9ap-16},
+    {"allgather/persistent/8", 0x1.049fbd6e36c9ep-15},
+    {"allreduce/blocking/8", 0x1.bec8b273cba2bp-17},
+    {"allreduce/nonblocking/8", 0x1.bec8b273cba2bp-17},
+    {"allreduce/persistent/8", 0x1.bec8b273cba33p-16},
+    {"alltoall/blocking/8", 0x1.ca6160e3b2a6dp-18},
+    {"alltoall/nonblocking/8", 0x1.ca6160e3b2a6dp-18},
+    {"alltoall/persistent/8", 0x1.ca6160e3b2a6ep-17},
+};
+// clang-format on
+
+/// The algorithm-backed families in their three flavours, one fixed
+/// algorithm each.
+void family_body(int rank, int p, Flavour f, std::uint64_t seed, int family) {
+    int const n = 1 + count_of(seed, 0, 6);
+    int const root = root_of(seed, p);
+    std::vector<std::uint64_t> in = block(seed, rank, 6, n * p);
+    std::vector<std::uint64_t> out(idx(n * p), 0);
+    MPI_Comm const W = MPI_COMM_WORLD;
+    void* o = out.data();
+    void const* i = in.data();
+    Calls c;
+    switch (family) {
+        case 0:
+            c = {[&] { return MPI_Bcast(in.data(), n, U64, root, W); },
+                 [&](MPI_Request* r) { return MPI_Ibcast(in.data(), n, U64, root, W, r); },
+                 [&](MPI_Request* r) { return MPI_Bcast_init(in.data(), n, U64, root, W, 0, r); }};
+            break;
+        case 1:
+            c = {[&] { return MPI_Reduce(i, o, n, U64, MPI_SUM, root, W); },
+                 [&](MPI_Request* r) { return MPI_Ireduce(i, o, n, U64, MPI_SUM, root, W, r); },
+                 [&](MPI_Request* r) {
+                     return MPI_Reduce_init(i, o, n, U64, MPI_SUM, root, W, 0, r);
+                 }};
+            break;
+        case 2:
+            c = {[&] { return MPI_Allgather(i, n, U64, o, n, U64, W); },
+                 [&](MPI_Request* r) { return MPI_Iallgather(i, n, U64, o, n, U64, W, r); },
+                 [&](MPI_Request* r) { return MPI_Allgather_init(i, n, U64, o, n, U64, W, 0, r); }};
+            break;
+        case 3:
+            c = {[&] { return MPI_Allreduce(i, o, n, U64, MPI_SUM, W); },
+                 [&](MPI_Request* r) { return MPI_Iallreduce(i, o, n, U64, MPI_SUM, W, r); },
+                 [&](MPI_Request* r) {
+                     return MPI_Allreduce_init(i, o, n, U64, MPI_SUM, W, 0, r);
+                 }};
+            break;
+        default:
+            c = {[&] { return MPI_Alltoall(i, n, U64, o, n, U64, W); },
+                 [&](MPI_Request* r) { return MPI_Ialltoall(i, n, U64, o, n, U64, W, r); },
+                 [&](MPI_Request* r) { return MPI_Alltoall_init(i, n, U64, o, n, U64, W, 0, r); }};
+            break;
+    }
+    ASSERT_EQ(drive(f, c), MPI_SUCCESS);
+}
+
+/// Pins everything that can move a makespan for the scope.
+struct VtimePins {
+    testing_utils::TopoPin topo{1};
+    ProgressPin engine{0};
+    testing_utils::SegPin seg{1 << 20};
+    VtimePins() {
+        XMPI_T_alg_set("bcast", "binomial");
+        XMPI_T_alg_set("reduce", "binomial");
+        XMPI_T_alg_set("allgather", "ring");
+        XMPI_T_alg_set("allreduce", "binomial");
+        XMPI_T_alg_set("alltoall", "bruck");
+    }
+    ~VtimePins() {
+        for (char const* fam : {"bcast", "reduce", "allgather", "allreduce", "alltoall"})
+            XMPI_T_alg_set(fam, nullptr);
+    }
+};
+
+}  // namespace
+
+TEST(FlavourParity, VirtualTimeMatchesGoldens) {
+    VtimePins const pins;
+    xmpi::Config cfg;
+    cfg.compute_scale = 0.0;
+    std::uint64_t const seed = 2024;
+    char const* const kFamilies[] = {"bcast", "reduce", "allgather", "allreduce", "alltoall"};
+    std::vector<std::pair<std::string, std::function<void(int, int)>>> cases;
+    for (Case const& c : fixed_shape_cases()) {
+        for (Flavour const f : c.flavours) {
+            cases.emplace_back(std::string(c.name) + "/" + flavour_name(f),
+                               [&c, f, seed](int rank, int p) { c.body(rank, p, f, seed, false); });
+        }
+    }
+    for (int fam = 0; fam < 5; ++fam) {
+        for (Flavour const f : {Flavour::blocking, Flavour::nonblocking, Flavour::persistent}) {
+            cases.emplace_back(std::string(kFamilies[fam]) + "/" + flavour_name(f),
+                               [fam, f, seed](int rank, int p) { family_body(rank, p, f, seed, fam); });
+        }
+    }
+    for (int const p : {3, 4, 8}) {
+        for (auto const& [name, body] : cases) {
+            std::string const key = name + "/" + std::to_string(p);
+            double const vt =
+                xmpi::run(p, [&](int rank) { body(rank, p); }, cfg).max_vtime;
+            double const* expect = nullptr;
+            for (Golden const& g : kGoldenVtime) {
+                if (key == g.key) expect = &g.vtime;
+            }
+            char hex[64];
+            std::snprintf(hex, sizeof hex, "%a", vt);
+            if (expect == nullptr) {
+                ADD_FAILURE() << "no golden for {\"" << key << "\", " << hex << "},";
+            } else {
+                EXPECT_EQ(vt, *expect) << "{\"" << key << "\", " << hex << "},";
+            }
+        }
+    }
+}
+
+// Fixed shapes are built per call: a loop of them counts no schedule build
+// and no cache hit. On 4 ranks each iteration sends 12 ring allgatherv, 12
+// pairwise alltoallv and 8 dissemination-barrier messages.
+TEST(FlavourParity, BlockingFixedShapeCountersUnchanged) {
+    xmpi::RunResult const res = xmpi::run(4, [](int rank) {
+        std::uint64_t const seed = 99;
+        for (int k = 0; k < 5; ++k) {
+            allgatherv_body(rank, 4, Flavour::blocking, seed, false);
+            alltoallv_body(rank, 4, Flavour::blocking, seed, false);
+            ASSERT_EQ(MPI_Barrier(MPI_COMM_WORLD), MPI_SUCCESS);
+        }
+    });
+    EXPECT_EQ(res.total.schedule_builds.load(), 0u);
+    EXPECT_EQ(res.total.schedule_cache_hits.load(), 0u);
+    EXPECT_EQ(res.total.coll_messages.load(), 160u);
+    EXPECT_EQ(res.total.p2p_messages.load(), 0u);
 }

@@ -32,36 +32,11 @@ namespace {
 namespace xd = xmpi::detail;
 namespace xt = xmpi::detail::trace;
 
+using testing_utils::EnvVar;
 using testing_utils::ProgressPin;
 using testing_utils::ScrubAlgEnv;
 using testing_utils::ShmPin;
 using testing_utils::TopoPin;
-
-/// setenv/unsetenv + env-refresh RAII (same contract as test_trace).
-struct EnvVar {
-    EnvVar(char const* name, std::string const& value) : name_(name) {
-        char const* const old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        setenv(name, value.c_str(), 1);
-        XMPI_T_alg_env_refresh();
-    }
-    ~EnvVar() {
-        if (had_) {
-            setenv(name_, old_.c_str(), 1);
-        } else {
-            unsetenv(name_);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    EnvVar(EnvVar const&) = delete;
-    EnvVar& operator=(EnvVar const&) = delete;
-
-private:
-    char const* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 /// Pins the measured-selection feedback off for the scope, so the fitted
 ///-ratio regression sees the pure cost-model argmin even under the

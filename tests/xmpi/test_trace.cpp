@@ -35,39 +35,13 @@ namespace {
 namespace xd = xmpi::detail;
 namespace xt = xmpi::detail::trace;
 
+using testing_utils::EnvVar;
 using testing_utils::TopoPin;
 
 /// Adding a Counters field must extend kExpectedPvars below (and the
 /// registry table in trace.cpp, which carries the same assert).
 static_assert(sizeof(xmpi::Counters) == 12 * sizeof(std::uint64_t),
               "Counters changed: update the pvar coverage list in this test");
-
-/// setenv/unsetenv + env-refresh RAII so a failing assertion cannot leak a
-/// trace environment into later tests.
-struct EnvVar {
-    EnvVar(char const* name, std::string const& value) : name_(name) {
-        char const* const old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        setenv(name, value.c_str(), 1);
-        XMPI_T_alg_env_refresh();
-    }
-    ~EnvVar() {
-        if (had_) {
-            setenv(name_, old_.c_str(), 1);
-        } else {
-            unsetenv(name_);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    EnvVar(EnvVar const&) = delete;
-    EnvVar& operator=(EnvVar const&) = delete;
-
-private:
-    char const* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 /// Guarantees a variable is unset for the scope.
 struct EnvUnset {
