@@ -466,18 +466,30 @@ Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
     auto const t_build1 = std::chrono::steady_clock::now();
     res.build_seconds = std::chrono::duration<double>(t_build1 - t_build0).count();
 
-    // Replay.
-    std::vector<double> vnow(static_cast<std::size_t>(p), 0.0);
-    EventLoop loop{sink.steps, step_begin, slot_begin, w.node_map, w.cfg, {}, {}};
-    std::string detail;
-    int const rc = loop.run(vnow, &res.events, &detail);
-    g_events.fetch_add(res.events, std::memory_order_relaxed);
-    res.run_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t_build1).count();
-    if (rc != MPI_SUCCESS) return fail(std::move(res), rc, std::move(detail));
-    res.makespan = *std::max_element(vnow.begin(), vnow.end());
+    Result run = replay(w, sink, step_begin, slot_begin);
+    g_events.fetch_add(run.events, std::memory_order_relaxed);
+    res.events = run.events;
+    res.run_seconds = run.run_seconds;
+    if (run.error != MPI_SUCCESS) return fail(std::move(res), run.error, std::move(run.detail));
+    res.makespan = run.makespan;
     g_last_makespan.store(res.makespan, std::memory_order_relaxed);
-    if (opt.keep_finish) res.finish = std::move(vnow);
+    if (opt.keep_finish) res.finish = std::move(run.finish);
+    return res;
+}
+
+Result replay(World const& w, alg::DrySink const& sink,
+              std::vector<std::uint32_t> const& step_begin,
+              std::vector<std::uint32_t> const& slot_begin) {
+    auto const t0 = std::chrono::steady_clock::now();
+    Result res;
+    res.finish.assign(static_cast<std::size_t>(w.size), 0.0);
+    EventLoop loop{sink.steps, step_begin, slot_begin, w.node_map, w.cfg, {}, {}};
+    res.error = loop.run(res.finish, &res.events, &res.detail);
+    if (res.error == MPI_SUCCESS) {
+        res.makespan = *std::max_element(res.finish.begin(), res.finish.end());
+    }
+    res.run_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return res;
 }
 

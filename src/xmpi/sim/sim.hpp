@@ -92,6 +92,15 @@ struct Result {
 /// Dry-builds and executes one collective on the simulated world.
 Result simulate(World const& w, CollSpec const& spec, Options const& opt = {});
 
+/// Replays per-rank tapes on `w`: rank r runs sink.steps[step_begin[r],
+/// step_begin[r + 1]) and owns receive slots [slot_begin[r], slot_begin[r + 1])
+/// (both bounds hold w.size + 1 entries). Fills makespan, finish (always),
+/// events and run_seconds, or error and detail. Internal seam: simulate()
+/// feeds it dry-built tapes, the failure-path tests hand-written ones.
+Result replay(World const& w, alg::DrySink const& sink,
+              std::vector<std::uint32_t> const& step_begin,
+              std::vector<std::uint32_t> const& slot_begin);
+
 /// Selection only — which algorithm the registry would pick for this
 /// (family, p, size, shape); no tape is built. Drives the selection-at-scale
 /// tables across p = 2^10..2^20 where building every tape is infeasible.

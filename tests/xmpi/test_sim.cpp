@@ -3,11 +3,13 @@
 /// the threaded executor (same builders, same cost arithmetic — per-rank
 /// virtual finish times must agree), the tag-budget hard check, the
 /// dry-build / real-build counter separation, the XMPI_T_sim_* knob
-/// validation, and a small-scale model-match assertion mirroring the bench
-/// acceptance criterion.
+/// validation, a small-scale model-match assertion mirroring the bench
+/// acceptance criterion, the replay's failure paths on hand-written tapes,
+/// and bit-exact goldens of the replay's predictions.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -358,4 +360,269 @@ TEST(SimShapes, RaggedNodeSizesSimulateCleanly) {
     EXPECT_EQ(1000u, res.finish.size());
     EXPECT_GT(res.makespan, 0.0);
     EXPECT_GT(res.events, 0u);
+}
+
+namespace {
+
+alg::TapeStep tape_step(std::uint8_t kind, std::uint32_t a, std::uint16_t tag,
+                        std::uint64_t bytes) {
+    alg::TapeStep st;
+    st.kind = kind;
+    st.a = a;
+    st.tag = tag;
+    st.bytes = bytes;
+    return st;
+}
+alg::TapeStep t_send(std::uint32_t dst, std::uint16_t tag, std::uint64_t bytes) {
+    return tape_step(alg::TapeStep::kSend, dst, tag, bytes);
+}
+alg::TapeStep t_post(std::uint32_t src, std::uint16_t tag, std::uint64_t bytes) {
+    return tape_step(alg::TapeStep::kPost, src, tag, bytes);
+}
+alg::TapeStep t_wait(std::uint32_t slot) { return tape_step(alg::TapeStep::kWait, slot, 0, 0); }
+
+/// Hand-written per-rank tapes for sim::replay on a flat world: each
+/// add_rank() appends one rank, whose posts take its receive slots in order.
+struct HandTapes {
+    sim::World w;
+    alg::DrySink sink;
+    std::vector<std::uint32_t> step_begin{0};
+    std::vector<std::uint32_t> slot_begin{0};
+
+    void add_rank(std::vector<alg::TapeStep> const& tape) {
+        std::uint32_t posts = 0;
+        for (alg::TapeStep const& st : tape) {
+            sink.steps.push_back(st);
+            if (st.kind == alg::TapeStep::kPost) ++posts;
+        }
+        step_begin.push_back(static_cast<std::uint32_t>(sink.steps.size()));
+        slot_begin.push_back(slot_begin.back() + posts);
+    }
+    sim::Result run() {
+        w.size = static_cast<int>(step_begin.size()) - 1;
+        return sim::replay(w, sink, step_begin, slot_begin);
+    }
+};
+
+constexpr std::uint64_t kMiB = std::uint64_t{1} << 20;
+
+}  // namespace
+
+TEST(SimReplay, PostNoSendCoversIsASimulatedDeadlock) {
+    HandTapes t;
+    t.add_rank({t_post(1, 0, 8), t_wait(0)});
+    t.add_rank({});
+    sim::Result const res = t.run();
+    EXPECT_EQ(MPI_ERR_OTHER, res.error);
+    EXPECT_EQ(res.detail.rfind("simulated deadlock: 1 of 2 ranks blocked", 0), 0u) << res.detail;
+    EXPECT_EQ(1u, res.events);  // the post ran; the wait never did
+}
+
+TEST(SimReplay, UnmatchedChannelsAreCountedOncePerKey) {
+    {  // a send no post takes
+        HandTapes t;
+        t.add_rank({t_send(1, 3, 8)});
+        t.add_rank({});
+        sim::Result const res = t.run();
+        EXPECT_EQ(MPI_ERR_OTHER, res.error);
+        EXPECT_EQ(res.detail.rfind("1 channels with unmatched sends/posts", 0), 0u)
+            << res.detail;
+    }
+    {  // two excess sends on one key, and a post no send covers nor wait reads
+        HandTapes t;
+        t.add_rank({t_send(1, 3, 8), t_send(1, 3, 8), t_post(1, 4, 8)});
+        t.add_rank({});
+        sim::Result const res = t.run();
+        EXPECT_EQ(MPI_ERR_OTHER, res.error);
+        EXPECT_EQ(res.detail.rfind("2 channels with unmatched sends/posts", 0), 0u)
+            << res.detail;
+        EXPECT_EQ(3u, res.events);
+    }
+}
+
+TEST(SimReplay, SendsOnOneChannelPairWithPostsInOrder) {
+    // Rank 0 posts twice on (src 1, tag 5) and waits on one slot; rank 1
+    // sends 8 B, then 1 MiB. Slot k must see the k-th send's arrival.
+    xmpi::Config const cfg;
+    double t = cfg.o;
+    double const small = t + cfg.alpha + cfg.beta * 8.0;
+    t += cfg.o;
+    double const large = t + cfg.alpha + cfg.beta * static_cast<double>(kMiB);
+    double const want[] = {small, large};
+    for (std::uint32_t slot : {0u, 1u}) {
+        HandTapes h;
+        h.add_rank({t_post(1, 5, 8), t_post(1, 5, kMiB), t_wait(slot)});
+        h.add_rank({t_send(0, 5, 8), t_send(0, 5, kMiB)});
+        sim::Result const res = h.run();
+        ASSERT_EQ(MPI_SUCCESS, res.error) << res.detail;
+        ASSERT_EQ(2u, res.finish.size());
+        EXPECT_EQ(want[slot], res.finish[0]) << "slot " << slot;
+        EXPECT_EQ(2.0 * cfg.o, res.finish[1]);
+        EXPECT_EQ(5u, res.events);
+    }
+}
+
+TEST(SimReplay, WaitsInReversePostOrder) {
+    // Rank 0 blocks on its second slot first; rank 1's first send fills the
+    // other slot and must not wake it, the second send must.
+    xmpi::Config const cfg;
+    double t = cfg.o;
+    double const first = t + cfg.alpha + cfg.beta * static_cast<double>(kMiB);
+    t += cfg.o;
+    double const second = t + cfg.alpha + cfg.beta * 8.0;
+    HandTapes h;
+    h.add_rank({t_post(1, 1, kMiB), t_post(1, 2, 8), t_wait(1), t_wait(0)});
+    h.add_rank({t_send(0, 1, kMiB), t_send(0, 2, 8)});
+    sim::Result const res = h.run();
+    ASSERT_EQ(MPI_SUCCESS, res.error) << res.detail;
+    EXPECT_EQ(std::max(first, second), res.finish[0]);
+    EXPECT_EQ(res.finish[0], res.makespan);
+    EXPECT_EQ(6u, res.events);
+}
+
+TEST(SimReplay, EventLimitHitMidRunReportsIt) {
+    ASSERT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(3));
+    HandTapes h;
+    h.add_rank({t_post(1, 1, kMiB), t_post(1, 2, 8), t_wait(1), t_wait(0)});
+    h.add_rank({t_send(0, 1, kMiB), t_send(0, 2, 8)});
+    sim::Result const res = h.run();
+    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(-1));
+    EXPECT_EQ(MPI_ERR_OTHER, res.error);
+    EXPECT_EQ(res.detail.rfind("event limit (3) exceeded", 0), 0u) << res.detail;
+    EXPECT_EQ(4u, res.events);  // two posts, one send, then the send that crossed it
+}
+
+namespace {
+
+/// Unsets the environment knobs that reshape dry-built tapes (forced
+/// algorithms, segment size, the shm switch, the hierarchical fit) for a
+/// scope, so the goldens hold under every CI leg; restores them after.
+struct ScrubTapeEnv {
+    static constexpr char const* kVars[] = {
+        "XMPI_ALG_BCAST",     "XMPI_ALG_REDUCE",    "XMPI_ALG_ALLGATHER", "XMPI_ALG_ALLREDUCE",
+        "XMPI_ALG_ALLTOALL",  "XMPI_SEGMENT_BYTES", "XMPI_SHM",           "XMPI_HIER_FIT"};
+    static constexpr int kN = static_cast<int>(sizeof kVars / sizeof kVars[0]);
+    std::string saved[kN];
+    bool had[kN] = {};
+    ScrubTapeEnv() {
+        for (int i = 0; i < kN; ++i) {
+            if (char const* v = std::getenv(kVars[i])) {
+                had[i] = true;
+                saved[i] = v;
+            }
+            unsetenv(kVars[i]);
+        }
+        XMPI_T_alg_env_refresh();
+    }
+    ~ScrubTapeEnv() {
+        for (int i = 0; i < kN; ++i) {
+            if (had[i]) setenv(kVars[i], saved[i].c_str(), 1);
+        }
+        XMPI_T_alg_env_refresh();
+    }
+    ScrubTapeEnv(ScrubTapeEnv const&) = delete;
+    ScrubTapeEnv& operator=(ScrubTapeEnv const&) = delete;
+};
+
+struct SimGolden {
+    char const* key;
+    double makespan;
+    std::uint64_t events;
+    std::uint64_t tape_steps;
+};
+
+// Recorded with the default machine model and automatic selection. A
+// failure prints the new value as a ready-to-paste row; re-record a row
+// only when a tape is meant to change, and say so in CHANGES.md.
+constexpr SimGolden kSimGoldens[] = {
+    {"bcast/flat/4096B", 0x1.cb6d626a3e9e7p-15, 3069, 3069},
+    {"bcast/flat/1048576B", 0x1.13994b26553a7p-7, 3069, 3069},
+    {"reduce/flat/4096B", 0x1.cb6d626a3e9e7p-15, 3069, 3069},
+    {"reduce/flat/1048576B", 0x1.13994b26553a7p-7, 3069, 3069},
+    {"allgather/flat/8B", 0x1.def14a5727897p-16, 30720, 30720},
+    {"allreduce/flat/4096B", 0x1.a805491364f9dp-15, 61440, 61440},
+    {"allreduce/flat/1048576B", 0x1.c2e8d45c91903p-10, 61440, 61440},
+    {"alltoall/flat/8B", 0x1.cb6d626a3e9e7p-15, 30720, 30720},
+    {"bcast/block-64/4096B", 0x1.72980c498f132p-16, 3069, 3069},
+    {"bcast/block-64/1048576B", 0x1.b8aa790b69cb8p-11, 49104, 49104},
+    {"reduce/block-64/4096B", 0x1.81dac0105ff96p-16, 3069, 3069},
+    {"reduce/block-64/1048576B", 0x1.c98786e931103p-9, 3069, 3069},
+    {"allgather/block-64/8B", 0x1.144eace671715p-16, 30720, 30720},
+    {"allreduce/block-64/4096B", 0x1.6b39b2c7c99cap-18, 433152, 433152},
+    {"allreduce/block-64/1048576B", 0x1.5ee9313ee1c8cp-14, 411648, 411648},
+    {"alltoall/block-64/8B", 0x1.f19423db48ddfp-16, 30720, 30720},
+    {"bcast/ragged-48-80/4096B", 0x1.72980c498f132p-16, 3069, 3069},
+    {"bcast/ragged-48-80/1048576B", 0x1.b8aa790b69cb8p-11, 49104, 49104},
+    {"reduce/ragged-48-80/4096B", 0x1.833a980e778fap-16, 3069, 3069},
+    {"reduce/ragged-48-80/1048576B", 0x1.cc4736e5603ccp-9, 3069, 3069},
+    {"allgather/ragged-48-80/8B", 0x1.5a91ff98e848fp-16, 30720, 30720},
+    {"allreduce/ragged-48-80/4096B", 0x1.7084d8b070769p-18, 324864, 324864},
+    {"allreduce/ragged-48-80/1048576B", 0x1.bd0f58a3304c2p-14, 308736, 308736},
+    {"alltoall/ragged-48-80/8B", 0x1.f19423db48ddfp-16, 30720, 30720},
+    {"allreduce/flat-p1000000/4096B", 0x1.b4e016e28cd62p-13, 5999994, 5999994},
+};
+
+}  // namespace
+
+TEST(SimGoldens, PredictionsAreBitIdentical) {
+    ScrubTapeEnv const scrub;
+    std::vector<int> ragged;
+    for (int n = 0; n < 16; ++n) ragged.push_back(n % 2 == 0 ? 48 : 80);
+    struct Shape {
+        char const* name;
+        std::vector<int> node_map;
+    };
+    Shape const shapes[] = {{"flat", {}},
+                            {"block-64", topo::block_map(1024, 64)},
+                            {"ragged-48-80", topo::node_map_from_sizes(ragged)}};
+    struct Case {
+        std::string key;
+        int p;
+        std::vector<int> node_map;
+        Family family;
+        int count;
+        int elem_size;
+    };
+    std::vector<Case> cases;
+    for (Shape const& sh : shapes) {
+        for (int fi = 0; fi < alg::kFamilies; ++fi) {
+            auto const family = static_cast<Family>(fi);
+            bool const per_block = family == Family::allgather || family == Family::alltoall;
+            std::vector<int> const counts =
+                per_block ? std::vector<int>{8} : std::vector<int>{1024, 1 << 18};
+            for (int const count : counts) {
+                int const elem = per_block ? 1 : 4;
+                cases.push_back({std::string(alg::family_name(family)) + "/" + sh.name + "/" +
+                                     std::to_string(count * elem) + "B",
+                                 1024, sh.node_map, family, count, elem});
+            }
+        }
+    }
+    cases.push_back({"allreduce/flat-p1000000/4096B", 1'000'000, {}, Family::allreduce, 1024, 4});
+    for (Case const& c : cases) {
+        sim::World w;
+        w.size = c.p;
+        w.node_map = c.node_map;
+        sim::CollSpec spec;
+        spec.family = c.family;
+        spec.count = c.count;
+        spec.elem_size = c.elem_size;
+        sim::Result const res = sim::simulate(w, spec);
+        ASSERT_EQ(MPI_SUCCESS, res.error) << c.key << ": " << res.detail;
+        char row[256];
+        std::snprintf(row, sizeof row, "{\"%s\", %a, %llu, %llu},", c.key.c_str(), res.makespan,
+                      static_cast<unsigned long long>(res.events),
+                      static_cast<unsigned long long>(res.tape_steps));
+        SimGolden const* g = nullptr;
+        for (SimGolden const& k : kSimGoldens) {
+            if (c.key == k.key) g = &k;
+        }
+        if (g == nullptr) {
+            ADD_FAILURE() << "no golden for " << row;
+            continue;
+        }
+        EXPECT_EQ(g->makespan, res.makespan) << row;
+        EXPECT_EQ(g->events, res.events) << row;
+        EXPECT_EQ(g->tape_steps, res.tape_steps) << row;
+    }
 }
