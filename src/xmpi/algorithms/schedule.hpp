@@ -42,6 +42,8 @@ struct TapeStep {
     std::uint16_t tag = 0;    ///< full step tag (scope offset + tag_step)
     std::uint8_t kind = kSend;
 };
+// sim::Options::max_tape_steps budgets 16 B per recorded step.
+static_assert(sizeof(TapeStep) == 16, "TapeStep must stay 16 B");
 
 /// Recorder a Schedule writes TapeSteps into while in dry-build mode. One
 /// sink accumulates the tapes of many per-rank builds (steps append across

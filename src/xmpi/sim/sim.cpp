@@ -1,25 +1,23 @@
 /// @file sim.cpp
 /// @brief The virtual-time executor: synthesizes a payload-free communicator
 /// at the simulated size, dry-builds every rank's schedule through the real
-/// builders (Schedule::begin_dry), and replays the recorded tapes in a
-/// single-threaded event loop whose arithmetic mirrors the p2p engine's
-/// deposit()/wait_one() virtual-clock updates term for term — so at small p
-/// the simulator's per-rank finish times reproduce the threaded executor's
-/// (the equivalence gate in tests/xmpi/test_sim.cpp), and at large p the
-/// tape is the ground truth the closed-form model is checked against.
+/// builders (Schedule::begin_dry), pairs each send with its post up front,
+/// and replays the tapes in a single-threaded event loop whose arithmetic
+/// mirrors the p2p engine's deposit()/wait_one() clock updates term for
+/// term — so at small p the simulator's per-rank finish times reproduce the
+/// threaded executor's (the equivalence gate in tests/xmpi/test_sim.cpp),
+/// and at large p the tape is the ground truth for the closed-form model.
 #include "sim.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <climits>
-#include <cstdio>
 #include <limits>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <numeric>
-#include <unordered_map>
 
 #include "../env.hpp"
 #include "../internal.hpp"
@@ -133,6 +131,14 @@ MPI_Op op_of(bool commutative, bool elementwise) {
 
 bool is_pow2(int p) { return p > 0 && (p & (p - 1)) == 0; }
 
+/// Flat, or one node id in [0, size) per rank (topo::node_info indexes by it).
+bool valid_world(World const& w) {
+    return w.size >= 1 && (w.node_map.empty() ||
+                           (static_cast<int>(w.node_map.size()) == w.size &&
+                            std::all_of(w.node_map.begin(), w.node_map.end(),
+                                        [&](int n) { return n >= 0 && n < w.size; })));
+}
+
 /// Largest per-message element count a builder of this algorithm computes,
 /// as a multiple of the spec's count. Builders form these counts as ints
 /// (the real substrate never sees a communicator this large), so infeasible
@@ -186,168 +192,113 @@ Result fail(Result res, int err, std::string detail) {
 }
 
 // ---------------------------------------------------------------------------
-// Event loop. Run-to-block scheduling over the concatenated per-rank tapes:
-// each ready rank executes steps until it finishes or blocks on a wait whose
-// matching send has not happened yet; the send that covers the wait re-readies
-// the rank. Matching is positional FIFO per (destination, source, tag) — the
-// k-th post on a channel pairs with the k-th send, exactly the mailbox's
-// deterministic-tag discipline (collective tags are unique per (seq, step),
-// and within one tag the transport is FIFO).
+// Replay with static matching. A channel (dst, src, tag) has one sender and
+// one receiver, each running its own tape in order, so the k-th send on a
+// channel pairs with the k-th post on it (the mailbox's FIFO discipline;
+// collective tags are unique per (seq, step)), whatever the timing. match()
+// pairs them all before the loop runs.
 //
-// Clock arithmetic per step mirrors p2p.cpp verbatim (with compute charging
-// absent — tapes carry no local work, i.e. compute_scale = 0):
+// The loop is run-to-block: a ready rank executes steps, one event each,
+// until it finishes or blocks on a wait whose send has not happened yet;
+// that send re-readies it. State is one arrival time and sent flag per post
+// and one "blocked on post g" word per rank. Clock arithmetic mirrors
+// p2p.cpp verbatim (no compute charging: tapes carry no local work):
 //   send: vnow += o_tier; arrival = vnow + alpha_tier + beta_tier * bytes
-//   post: free
+//   post: free (a plain step)
 //   wait: vnow = max(vnow, arrival of the matched send)
-//
-// Shared-memory copy steps ride the same channel algebra (their tape tags
-// carry a high marker bit, so a copy channel can never alias a message
-// channel) with the executor's copy-tier pricing:
+// Shared-memory copy steps use the same channels (their tape tags carry a
+// high marker bit, so they never alias a message channel) with the
+// executor's copy-tier pricing:
 //   copy_pub:  publisher's clock unchanged; arrival = vnow + copy_sync
 //   copy_wait: vnow = max(vnow, arrival) + gamma_copy * bytes
 // ---------------------------------------------------------------------------
 
-constexpr std::uint32_t kNoRank = 0xFFFFFFFFu;
+constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-struct Channel {
-    double a0 = 0.0;               ///< arrival of the first send (inline: most
-                                   ///< channels carry exactly one message)
-    std::vector<double> more;      ///< arrivals of sends 1.. (rare)
-    std::uint32_t nsends = 0;
-    std::uint32_t nposts = 0;
-    std::uint32_t waiter = kNoRank;  ///< rank blocked on this channel, if any
-    std::uint32_t waiter_k = 0;      ///< ...waiting for send index waiter_k
-};
+bool is_send(alg::TapeStep const& st) {
+    return st.kind == alg::TapeStep::kSend || st.kind == alg::TapeStep::kCopyPub;
+}
 
-struct SlotRef {
-    std::uint32_t ch = 0;  ///< channel index
-    std::uint32_t k = 0;   ///< post position on that channel
-};
-
-struct EventLoop {
-    std::vector<alg::TapeStep> const& steps;
-    std::vector<std::uint32_t> const& step_begin;  // size p+1
-    std::vector<std::uint32_t> const& slot_begin;  // size p+1
-    std::vector<int> const& node_map;              // empty = flat
-    Config const& cfg;
-
-    std::vector<Channel> channels;
-    std::unordered_map<std::uint64_t, std::uint32_t> channel_index;
-
-    static std::uint64_t key(std::uint32_t dst, std::uint32_t src, std::uint32_t tag) {
-        return (static_cast<std::uint64_t>(dst) << 40) | (static_cast<std::uint64_t>(src) << 16) |
-               tag;
+/// Sets post_of[i] to the global slot the send at step i pairs with (kNone
+/// if none). A counting sort buckets the sends by destination; each
+/// destination's posts and incoming sends meet in a table sized to that one
+/// rank, so it stays in cache. Returns the number of channels whose send and
+/// post counts differ, or -1 if a step names a rank or slot out of range.
+long long match(std::vector<alg::TapeStep> const& steps,
+                std::vector<std::uint32_t> const& step_begin,
+                std::vector<std::uint32_t> const& slot_begin,
+                std::vector<std::uint32_t>& post_of) {
+    std::size_t const p = step_begin.size() - 1;
+    std::vector<std::uint32_t> in_begin(p + 1, 0);
+    for (std::size_t r = 0; r < p; ++r) {
+        for (std::uint32_t i = step_begin[r]; i < step_begin[r + 1]; ++i) {
+            alg::TapeStep const& st = steps[i];
+            // A send names its destination rank, a wait its own receive slot.
+            std::size_t const bound = is_send(st) ? p : slot_begin[r + 1] - slot_begin[r];
+            if (st.kind != alg::TapeStep::kPost && st.a >= bound) return -1;
+            if (is_send(st)) ++in_begin[st.a + 1];
+        }
     }
-
-    std::uint32_t chan(std::uint64_t k) {
-        auto const [it, inserted] =
-            channel_index.try_emplace(k, static_cast<std::uint32_t>(channels.size()));
-        if (inserted) channels.emplace_back();
-        return it->second;
+    std::partial_sum(in_begin.begin(), in_begin.end(), in_begin.begin());
+    std::vector<std::uint32_t> fill(in_begin.begin(), in_begin.end() - 1);
+    std::vector<std::uint64_t> in_key(in_begin[p]);  // (src << 16) | tag
+    std::vector<std::uint32_t> in_step(in_begin[p]);
+    for (std::size_t r = 0; r < p; ++r) {
+        for (std::uint32_t i = step_begin[r]; i < step_begin[r + 1]; ++i) {
+            if (!is_send(steps[i])) continue;
+            std::uint32_t const j = fill[steps[i].a]++;
+            in_key[j] = (std::uint64_t{r} << 16) | steps[i].tag;
+            in_step[j] = i;
+        }
     }
-
-    /// Runs all tapes to completion; returns MPI_SUCCESS or fills *detail.
-    int run(std::vector<double>& vnow, std::uint64_t* events_out, std::string* detail) {
-        int const p = static_cast<int>(step_begin.size()) - 1;
-        std::vector<std::uint32_t> pos(step_begin.begin(), step_begin.end() - 1);
-        std::vector<std::uint32_t> next_slot(static_cast<std::size_t>(p), 0);
-        std::vector<SlotRef> slots(slot_begin[static_cast<std::size_t>(p)]);
-        std::vector<std::uint32_t> ready(static_cast<std::size_t>(p));
-        for (int r = 0; r < p; ++r) ready[static_cast<std::size_t>(p - 1 - r)] = static_cast<std::uint32_t>(r);
-
-        long long const limit = effective_event_limit();
-        std::uint64_t events = 0;
-        int finished = 0;
-
-        while (!ready.empty()) {
-            std::uint32_t const r = ready.back();
-            ready.pop_back();
-            std::uint32_t const end = step_begin[static_cast<std::size_t>(r) + 1];
-            double t = vnow[r];
-            bool blocked = false;
-            while (pos[r] < end) {
-                alg::TapeStep const& st = steps[pos[r]];
-                if (st.kind == alg::TapeStep::kWait || st.kind == alg::TapeStep::kCopyWait) {
-                    SlotRef const sr = slots[slot_begin[r] + st.a];
-                    Channel& ch = channels[sr.ch];
-                    if (ch.nsends > sr.k) {
-                        double const arrival = sr.k == 0 ? ch.a0 : ch.more[sr.k - 1];
-                        if (arrival > t) t = arrival;
-                        if (st.kind == alg::TapeStep::kCopyWait) {
-                            t += cfg.gamma_copy * static_cast<double>(st.bytes);
-                        }
-                    } else {
-                        ch.waiter = r;
-                        ch.waiter_k = sr.k;
-                        blocked = true;
-                        break;
-                    }
-                } else if (st.kind == alg::TapeStep::kSend ||
-                           st.kind == alg::TapeStep::kCopyPub) {
-                    std::uint32_t const dst = st.a;
-                    double arrival;
-                    if (st.kind == alg::TapeStep::kCopyPub) {
-                        // Rendezvous publish: the producer's clock does not
-                        // advance; the cell becomes visible one sync constant
-                        // later and the per-byte copy cost lands on the
-                        // consumer's kCopyWait.
-                        arrival = t + cfg.copy_sync;
-                    } else {
-                        bool const intra =
-                            !node_map.empty() && node_map[r] == node_map[dst];
-                        t += intra ? cfg.o_intra : cfg.o;
-                        arrival = t + (intra ? cfg.alpha_intra : cfg.alpha) +
-                                  (intra ? cfg.beta_intra : cfg.beta) *
-                                      static_cast<double>(st.bytes);
-                    }
-                    Channel& ch = channels[chan(key(dst, r, st.tag))];
-                    std::uint32_t const k = ch.nsends++;
-                    if (k == 0) {
-                        ch.a0 = arrival;
-                    } else {
-                        ch.more.push_back(arrival);
-                    }
-                    if (ch.waiter != kNoRank && ch.waiter_k == k) {
-                        ready.push_back(ch.waiter);
-                        ch.waiter = kNoRank;
-                    }
-                } else {  // kPost: reserve the next FIFO position, zero cost
-                    std::uint32_t const ci = chan(key(r, st.a, st.tag));
-                    Channel& ch = channels[ci];
-                    slots[slot_begin[r] + next_slot[r]++] = SlotRef{ci, ch.nposts++};
-                }
-                ++pos[r];
-                ++events;
-                if (limit > 0 && events > static_cast<std::uint64_t>(limit)) {
-                    *events_out = events;
-                    *detail = "event limit (" + std::to_string(limit) +
-                              ") exceeded; raise it via XMPI_T_sim_event_limit_set or "
-                              "XMPI_SIM_EVENT_LIMIT";
-                    return MPI_ERR_OTHER;
-                }
+    // Per destination: chain its posts FIFO per key, then let its incoming
+    // sends (in sender tape order) pop them. A key that runs out of posts
+    // gets tail = kNone; one with posts left keeps a head.
+    struct Entry { std::uint64_t key; std::uint32_t head, tail; };
+    constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    std::vector<Entry> table;
+    std::vector<std::uint32_t> next;
+    long long unmatched = 0;
+    for (std::size_t d = 0; d < p; ++d) {
+        std::uint32_t const nposts = slot_begin[d + 1] - slot_begin[d];
+        std::size_t const want = 2 * (std::size_t{nposts} + in_begin[d + 1] - in_begin[d]);
+        int const bits = std::max(4, static_cast<int>(std::bit_width(want)));
+        std::size_t const mask = (std::size_t{1} << bits) - 1;
+        if (table.size() <= mask) table.resize(mask + 1, Entry{kEmpty, kNone, kNone});
+        if (next.size() < nposts) next.resize(nposts);
+        auto find = [&](std::uint64_t key) -> Entry& {
+            // High bits of the product: its low bits see only the key's low bits.
+            std::size_t h = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+            while (table[h].key != key && table[h].key != kEmpty) h = (h + 1) & mask;
+            if (table[h].key == kEmpty) table[h] = {key, kNone, kNone};
+            return table[h];
+        };
+        std::uint32_t k = 0;
+        for (std::uint32_t i = step_begin[d]; i < step_begin[d + 1]; ++i) {
+            if (steps[i].kind != alg::TapeStep::kPost) continue;
+            if (k == nposts) return -1;
+            Entry& e = find((std::uint64_t{steps[i].a} << 16) | steps[i].tag);
+            (e.head == kNone ? e.head : next[e.tail]) = k;
+            e.tail = k;
+            next[k++] = kNone;
+        }
+        for (std::uint32_t j = in_begin[d]; j < in_begin[d + 1]; ++j) {
+            Entry& e = find(in_key[j]);
+            if (e.head == kNone) {
+                e.tail = kNone;
+                continue;
             }
-            vnow[r] = t;
-            if (!blocked) ++finished;
+            post_of[in_step[j]] = slot_begin[d] + e.head;
+            e.head = next[e.head];
         }
-        *events_out = events;
-        if (finished < p) {
-            *detail = "simulated deadlock: " + std::to_string(p - finished) + " of " +
-                      std::to_string(p) + " ranks blocked on receives no send covers";
-            return MPI_ERR_OTHER;
+        for (std::size_t h = 0; h <= mask; ++h) {
+            Entry& e = table[h];
+            unmatched += e.key != kEmpty && (e.head != kNone || e.tail == kNone);
+            e.key = kEmpty;
         }
-        std::uint64_t mismatched = 0;
-        for (auto const& ch : channels) {
-            if (ch.nsends != ch.nposts) ++mismatched;
-        }
-        if (mismatched != 0) {
-            *detail = std::to_string(mismatched) +
-                      " channels with unmatched sends/posts (tape is not a closed "
-                      "collective exchange)";
-            return MPI_ERR_OTHER;
-        }
-        return MPI_SUCCESS;
     }
-};
+    return unmatched;
+}
 
 }  // namespace
 
@@ -358,7 +309,7 @@ char const* alg_name(Family f, int alg) {
 }
 
 int select_at_scale(World const& w, CollSpec const& spec) {
-    if (w.size < 1) return -1;
+    if (!valid_world(w)) return -1;
     if (spec.force_alg >= 0) return spec.force_alg;
     FakeComm fc(w);
     return alg::select(spec.family, &fc.comm, spec.bytes(), spec.commutative, spec.elementwise);
@@ -366,9 +317,7 @@ int select_at_scale(World const& w, CollSpec const& spec) {
 
 Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
     Result res;
-    if (w.size < 1 || spec.count < 0 ||
-        (!w.node_map.empty() && static_cast<int>(w.node_map.size()) != w.size) ||
-        spec.root < 0 || spec.root >= w.size) {
+    if (!valid_world(w) || spec.count < 0 || spec.root < 0 || spec.root >= w.size) {
         return fail(std::move(res), MPI_ERR_ARG, "malformed simulated world / spec");
     }
     MPI_Datatype const type = type_of(spec.elem_size);
@@ -469,7 +418,8 @@ Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
     Result run = replay(w, sink, step_begin, slot_begin);
     g_events.fetch_add(run.events, std::memory_order_relaxed);
     res.events = run.events;
-    res.run_seconds = run.run_seconds;
+    res.run_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t_build1).count();
     if (run.error != MPI_SUCCESS) return fail(std::move(res), run.error, std::move(run.detail));
     res.makespan = run.makespan;
     g_last_makespan.store(res.makespan, std::memory_order_relaxed);
@@ -480,16 +430,87 @@ Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
 Result replay(World const& w, alg::DrySink const& sink,
               std::vector<std::uint32_t> const& step_begin,
               std::vector<std::uint32_t> const& slot_begin) {
-    auto const t0 = std::chrono::steady_clock::now();
     Result res;
-    res.finish.assign(static_cast<std::size_t>(w.size), 0.0);
-    EventLoop loop{sink.steps, step_begin, slot_begin, w.node_map, w.cfg, {}, {}};
-    res.error = loop.run(res.finish, &res.events, &res.detail);
-    if (res.error == MPI_SUCCESS) {
-        res.makespan = *std::max_element(res.finish.begin(), res.finish.end());
+    std::size_t const p = static_cast<std::size_t>(w.size);
+    auto const& steps = sink.steps;
+    Config const& cfg = w.cfg;
+    std::vector<std::uint32_t> post_of(steps.size(), kNone);
+    long long const unmatched = match(steps, step_begin, slot_begin, post_of);
+    if (unmatched < 0) {
+        return fail(std::move(res), MPI_ERR_ARG,
+                    "malformed tape: a step names a rank or receive slot out of range");
     }
-    res.run_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    std::vector<double> arrival(slot_begin[p]);
+    std::vector<std::uint8_t> sent(slot_begin[p], 0);
+    std::vector<std::uint32_t> blocked_on(p, kNone);
+    std::vector<std::uint32_t> pos(step_begin.begin(), step_begin.end() - 1);
+    std::vector<std::uint32_t> ready(p);  // a stack: rank 0 runs first
+    std::iota(ready.rbegin(), ready.rend(), 0u);
+    res.finish.assign(p, 0.0);
+    long long const limit = effective_event_limit();
+    std::size_t finished = 0;
+    while (!ready.empty()) {
+        std::uint32_t const r = ready.back();
+        ready.pop_back();
+        std::uint32_t const end = step_begin[r + 1];
+        double t = res.finish[r];
+        for (; pos[r] < end; ++pos[r]) {
+            alg::TapeStep const& st = steps[pos[r]];
+            if (st.kind == alg::TapeStep::kWait || st.kind == alg::TapeStep::kCopyWait) {
+                std::uint32_t const g = slot_begin[r] + st.a;
+                if (!sent[g]) {
+                    blocked_on[r] = g;
+                    break;
+                }
+                if (arrival[g] > t) t = arrival[g];
+                if (st.kind == alg::TapeStep::kCopyWait) {
+                    t += cfg.gamma_copy * static_cast<double>(st.bytes);
+                }
+            } else if (is_send(st)) {
+                std::uint32_t const dst = st.a;
+                double a;
+                if (st.kind == alg::TapeStep::kCopyPub) {
+                    // Rendezvous publish: the cell becomes visible one sync
+                    // constant later; the consumer's kCopyWait pays per byte.
+                    a = t + cfg.copy_sync;
+                } else {
+                    bool const intra = !w.node_map.empty() && w.node_map[r] == w.node_map[dst];
+                    t += intra ? cfg.o_intra : cfg.o;
+                    a = t + (intra ? cfg.alpha_intra : cfg.alpha) +
+                        (intra ? cfg.beta_intra : cfg.beta) * static_cast<double>(st.bytes);
+                }
+                if (std::uint32_t const g = post_of[pos[r]]; g != kNone) {
+                    arrival[g] = a;
+                    sent[g] = 1;
+                    if (blocked_on[dst] == g) {
+                        ready.push_back(dst);
+                        blocked_on[dst] = kNone;
+                    }
+                }
+            }
+            ++res.events;
+            if (limit > 0 && res.events > static_cast<std::uint64_t>(limit)) {
+                return fail(std::move(res), MPI_ERR_OTHER,
+                            "event limit (" + std::to_string(limit) +
+                                ") exceeded; raise it via XMPI_T_sim_event_limit_set or "
+                                "XMPI_SIM_EVENT_LIMIT");
+            }
+        }
+        res.finish[r] = t;
+        if (pos[r] == end) ++finished;
+    }
+    if (finished < p) {
+        return fail(std::move(res), MPI_ERR_OTHER,
+                    "simulated deadlock: " + std::to_string(p - finished) + " of " +
+                        std::to_string(p) + " ranks blocked on receives no send covers");
+    }
+    if (unmatched != 0) {
+        return fail(std::move(res), MPI_ERR_OTHER,
+                    std::to_string(unmatched) +
+                        " channels with unmatched sends/posts (tape is not a closed "
+                        "collective exchange)");
+    }
+    res.makespan = *std::max_element(res.finish.begin(), res.finish.end());
     return res;
 }
 

@@ -4,9 +4,9 @@
 /// synthetic communicator of 10^4..10^6 virtual ranks — and replays the
 /// resulting payload-free tapes through a single-threaded event loop with a
 /// per-rank virtual clock, FIFO per-(source, tag) matching identical to the
-/// p2p engine's semantics, and per-message costs drawn from the two-tier
-/// machine model (intra/inter split plus sender overhead, exactly the
-/// deposit() arithmetic in p2p.cpp).
+/// p2p engine's semantics (resolved once, before the loop), and per-message
+/// costs drawn from the two-tier machine model (intra/inter split plus
+/// sender overhead, exactly the deposit() arithmetic in p2p.cpp).
 ///
 /// Tapes carry byte counts, not payloads: no threads run, no user or
 /// scratch buffer is allocated (Schedule::begin_dry hands builders stable
@@ -35,7 +35,7 @@ using alg::Family;
 /// node shapes at scale need no environment plumbing.
 struct World {
     int size = 0;
-    /// world rank -> node id; empty = flat (every rank its own node).
+    /// world rank -> node id (>= 0); empty = flat (every rank its own node).
     std::vector<int> node_map;
     /// Supplies alpha/beta/o (+_intra). Compute is not simulated: tapes have
     /// no local steps, which corresponds to Config::compute_scale = 0.
@@ -68,9 +68,9 @@ struct Options {
     /// Record per-rank virtual finish times in Result::finish (the small-p
     /// equivalence gate compares them against the threaded executor).
     bool keep_finish = false;
-    /// Refuse tapes above this many recorded steps (16 B each): O(p^2)
-    /// algorithm/size combinations are *skipped and reported*, never built
-    /// to memory exhaustion.
+    /// Refuse tapes above this many steps (16 B each; replaying adds 4 B per
+    /// step, and 12 B per send while matching): O(p^2) algorithm/size
+    /// combinations are *skipped and reported*, never built to exhaustion.
     std::uint64_t max_tape_steps = 60'000'000;
 };
 
@@ -86,17 +86,15 @@ struct Result {
     std::uint64_t tape_steps = 0;
     std::uint64_t events = 0;
     double build_seconds = 0.0;  ///< wall time spent dry-building the tapes
-    double run_seconds = 0.0;    ///< wall time spent in the event loop
+    double run_seconds = 0.0;    ///< wall time of the replay: matching + event loop
 };
 
 /// Dry-builds and executes one collective on the simulated world.
 Result simulate(World const& w, CollSpec const& spec, Options const& opt = {});
 
-/// Replays per-rank tapes on `w`: rank r runs sink.steps[step_begin[r],
-/// step_begin[r + 1]) and owns receive slots [slot_begin[r], slot_begin[r + 1])
-/// (both bounds hold w.size + 1 entries). Fills makespan, finish (always),
-/// events and run_seconds, or error and detail. Internal seam: simulate()
-/// feeds it dry-built tapes, the failure-path tests hand-written ones.
+/// Internal: replays per-rank tapes on `w`. Rank r runs sink.steps[step_begin[r],
+/// step_begin[r + 1]) and owns receive slots [slot_begin[r], slot_begin[r + 1]).
+/// simulate() feeds it dry-built tapes; tests feed hand-written ones.
 Result replay(World const& w, alg::DrySink const& sink,
               std::vector<std::uint32_t> const& step_begin,
               std::vector<std::uint32_t> const& slot_begin);

@@ -3,10 +3,10 @@
 /// node structure cache, and the XMPI_T_topo_* control API.
 #include "topo.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <limits>
-#include <unordered_map>
 
 #include "../env.hpp"
 #include "../internal.hpp"
@@ -91,16 +91,17 @@ NodeInfo const& node_info(MPI_Comm comm) {
         return *comm->node_cache;
     }
     // Dense node ids in order of first appearance over ascending comm ranks.
-    // Hash-densified: the simulator runs this at p up to 10^6, where the
-    // former linear scan over seen nodes was O(p * nodes).
-    std::unordered_map<int, int> dense_of;  // universe node id -> dense node
-    dense_of.reserve(static_cast<std::size_t>(p));
+    // Universe node ids are small non-negative ints (dense for every map the
+    // runtime builds), so a vector indexed by the id densifies them in O(p).
+    std::vector<int> dense_of(  // universe node id -> dense node
+        static_cast<std::size_t>(*std::max_element(world_map.begin(), world_map.end())) + 1, -1);
     for (int r = 0; r < p; ++r) {
-        int const wn = world_map[static_cast<std::size_t>(comm->world_of(r))];
-        auto const [it, inserted] =
-            dense_of.emplace(wn, static_cast<int>(ni->members.size()));
-        if (inserted) ni->members.emplace_back();
-        int const dense = it->second;
+        int& dense = dense_of[static_cast<std::size_t>(
+            world_map[static_cast<std::size_t>(comm->world_of(r))])];
+        if (dense < 0) {
+            dense = static_cast<int>(ni->members.size());
+            ni->members.emplace_back();
+        }
         ni->node_of[static_cast<std::size_t>(r)] = dense;
         ni->members[static_cast<std::size_t>(dense)].push_back(r);
     }

@@ -8,9 +8,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "xmpi/mpi.h"
 
@@ -88,35 +90,44 @@ private:
     std::string old_;
 };
 
+/// Unsets the named environment variables for a scope and re-resolves every
+/// cached environment knob; the destructor restores the variables and
+/// re-resolves again.
+struct ScrubEnv {
+    explicit ScrubEnv(std::initializer_list<char const*> names) {
+        for (char const* name : names) {
+            char const* const v = std::getenv(name);
+            saved.push_back({name, v != nullptr, v != nullptr ? v : ""});
+            unsetenv(name);
+        }
+        XMPI_T_alg_env_refresh();
+    }
+    ~ScrubEnv() {
+        for (Saved const& sv : saved) {
+            if (sv.had) setenv(sv.name, sv.value.c_str(), 1);
+        }
+        XMPI_T_alg_env_refresh();
+    }
+    ScrubEnv(ScrubEnv const&) = delete;
+    ScrubEnv& operator=(ScrubEnv const&) = delete;
+
+private:
+    struct Saved {
+        char const* name;
+        bool had;
+        std::string value;
+    };
+    std::vector<Saved> saved;
+};
+
 /// Clears every XMPI_ALG_* pin for a scope, so tests of *automatic*
 /// selection behave identically under the forced-algorithms CI matrix
 /// (there is no control value meaning "ignore the environment" — an
-/// XMPI_T_alg_set "auto" defers to the environment by design). The
-/// destructor restores the variables and re-resolves.
-struct ScrubAlgEnv {
-    static constexpr char const* kVars[5] = {"XMPI_ALG_BCAST", "XMPI_ALG_REDUCE",
-                                             "XMPI_ALG_ALLGATHER", "XMPI_ALG_ALLREDUCE",
-                                             "XMPI_ALG_ALLTOALL"};
-    std::string saved[5];
-    bool had[5] = {};
-    ScrubAlgEnv() {
-        for (int i = 0; i < 5; ++i) {
-            if (char const* v = std::getenv(kVars[i])) {
-                had[i] = true;
-                saved[i] = v;
-            }
-            unsetenv(kVars[i]);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    ~ScrubAlgEnv() {
-        for (int i = 0; i < 5; ++i) {
-            if (had[i]) setenv(kVars[i], saved[i].c_str(), 1);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    ScrubAlgEnv(ScrubAlgEnv const&) = delete;
-    ScrubAlgEnv& operator=(ScrubAlgEnv const&) = delete;
+/// XMPI_T_alg_set "auto" defers to the environment by design).
+struct ScrubAlgEnv : ScrubEnv {
+    ScrubAlgEnv()
+        : ScrubEnv({"XMPI_ALG_BCAST", "XMPI_ALG_REDUCE", "XMPI_ALG_ALLGATHER",
+                    "XMPI_ALG_ALLREDUCE", "XMPI_ALG_ALLTOALL"}) {}
 };
 
 /// The seed for this test's randomness: XMPI_TEST_SEED if set (replay),

@@ -440,6 +440,27 @@ TEST(SimReplay, UnmatchedChannelsAreCountedOncePerKey) {
     }
 }
 
+TEST(SimReplay, MalformedTapesAreRefused) {
+    auto const refused = [](HandTapes& t) {
+        sim::Result const res = t.run();
+        EXPECT_EQ(MPI_ERR_ARG, res.error);
+        EXPECT_EQ(res.detail.rfind("malformed tape", 0), 0u) << res.detail;
+    };
+    HandTapes to_nowhere;  // a send to a rank the world does not have
+    to_nowhere.add_rank({t_send(2, 0, 8)});
+    to_nowhere.add_rank({});
+    refused(to_nowhere);
+    HandTapes unposted;  // a wait on a slot its rank never posted
+    unposted.add_rank({t_post(1, 0, 8), t_wait(1)});
+    unposted.add_rank({t_send(0, 0, 8)});
+    refused(unposted);
+    HandTapes overposted;  // more posts than the rank's slot bounds hold
+    overposted.add_rank({t_post(1, 0, 8), t_post(1, 0, 8)});
+    overposted.add_rank({t_send(0, 0, 8), t_send(0, 0, 8)});
+    overposted.slot_begin = {0, 1, 1};
+    refused(overposted);
+}
+
 TEST(SimReplay, SendsOnOneChannelPairWithPostsInOrder) {
     // Rank 0 posts twice on (src 1, tag 5) and waits on one slot; rank 1
     // sends 8 B, then 1 MiB. Slot k must see the k-th send's arrival.
@@ -494,36 +515,6 @@ TEST(SimReplay, EventLimitHitMidRunReportsIt) {
 
 namespace {
 
-/// Unsets the environment knobs that reshape dry-built tapes (forced
-/// algorithms, segment size, the shm switch, the hierarchical fit) for a
-/// scope, so the goldens hold under every CI leg; restores them after.
-struct ScrubTapeEnv {
-    static constexpr char const* kVars[] = {
-        "XMPI_ALG_BCAST",     "XMPI_ALG_REDUCE",    "XMPI_ALG_ALLGATHER", "XMPI_ALG_ALLREDUCE",
-        "XMPI_ALG_ALLTOALL",  "XMPI_SEGMENT_BYTES", "XMPI_SHM",           "XMPI_HIER_FIT"};
-    static constexpr int kN = static_cast<int>(sizeof kVars / sizeof kVars[0]);
-    std::string saved[kN];
-    bool had[kN] = {};
-    ScrubTapeEnv() {
-        for (int i = 0; i < kN; ++i) {
-            if (char const* v = std::getenv(kVars[i])) {
-                had[i] = true;
-                saved[i] = v;
-            }
-            unsetenv(kVars[i]);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    ~ScrubTapeEnv() {
-        for (int i = 0; i < kN; ++i) {
-            if (had[i]) setenv(kVars[i], saved[i].c_str(), 1);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    ScrubTapeEnv(ScrubTapeEnv const&) = delete;
-    ScrubTapeEnv& operator=(ScrubTapeEnv const&) = delete;
-};
-
 struct SimGolden {
     char const* key;
     double makespan;
@@ -565,7 +556,10 @@ constexpr SimGolden kSimGoldens[] = {
 }  // namespace
 
 TEST(SimGoldens, PredictionsAreBitIdentical) {
-    ScrubTapeEnv const scrub;
+    // Every CI leg must see the default tapes: no forced algorithm, segment
+    // size, shm switch or hierarchical fit from the environment.
+    ScrubAlgEnv const algs;
+    testing_utils::ScrubEnv const knobs({"XMPI_SEGMENT_BYTES", "XMPI_SHM", "XMPI_HIER_FIT"});
     std::vector<int> ragged;
     for (int n = 0; n < 16; ++n) ragged.push_back(n % 2 == 0 ? 48 : 80);
     struct Shape {
@@ -625,4 +619,22 @@ TEST(SimGoldens, PredictionsAreBitIdentical) {
         EXPECT_EQ(g->events, res.events) << row;
         EXPECT_EQ(g->tape_steps, res.tape_steps) << row;
     }
+}
+
+TEST(SimShapes, NodeIdsOutsideTheWorldAreRefused) {
+    sim::World w;
+    w.size = 4;
+    sim::CollSpec spec;
+    spec.family = Family::allreduce;
+    spec.count = 4;
+    spec.elem_size = 4;
+    for (std::vector<int> const& map : {std::vector<int>{0, 0, 1, 4}, std::vector<int>{0, -1, 1, 1},
+                                        std::vector<int>{0, 0, 1}}) {
+        w.node_map = map;
+        EXPECT_EQ(MPI_ERR_ARG, sim::simulate(w, spec).error);
+        EXPECT_EQ(-1, sim::select_at_scale(w, spec));
+    }
+    w.node_map = {1, 1, 3, 3};  // sparse ids below the world size are fine
+    EXPECT_EQ(MPI_SUCCESS, sim::simulate(w, spec).error);
+    EXPECT_GE(sim::select_at_scale(w, spec), 0);
 }
