@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "../shm/shm.hpp"
@@ -85,7 +86,7 @@ bool segment_forced() {
 
 /// The calling rank's index within its node's member list.
 int my_member_index(NodeInfo const& ni, int r) {
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     for (std::size_t i = 0; i < mem.size(); ++i) {
         if (mem[i] == r) return static_cast<int>(i);
     }
@@ -117,7 +118,7 @@ std::vector<int> leader_map(NodeInfo const& ni) {
 /// publish the user input itself: zero copies on the way up, safe because
 /// the parent's read completes (ack) before the leader can publish onward,
 /// and the final drain precedes any buffer reuse.
-void append_shm_tree_reduce(Schedule& s, std::vector<int> const& mem, int mi, void const* input,
+void append_shm_tree_reduce(Schedule& s, std::span<int const> mem, int mi, void const* input,
                             void* out, int count, MPI_Datatype type, MPI_Op op, int cell_base) {
     int const m = static_cast<int>(mem.size());
     std::size_t const bytes =
@@ -199,7 +200,7 @@ int build_hier_bcast(Schedule& s, void* buf, int count, MPI_Datatype type, int r
     int nseg = 1;
     if (use_ring) nseg = clamp_segments_to_count(ring_segments(bytes), count);
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const node_leader = ni.my_node == root_node ? root : ni.leader(ni.my_node);
     int my_mrank = 0, leader_mrank = 0;
@@ -232,7 +233,7 @@ int build_hier_bcast(Schedule& s, void* buf, int count, MPI_Datatype type, int r
                     s.copy_get(kIntraDown + k, node_leader, seg, /*src_byte_off=*/0, len, type);
                 }
             } else {
-                GroupScope scope(s, mem, my_mrank, kIntraUp);
+                GroupScope scope(s, std::vector<int>(mem.begin(), mem.end()), my_mrank, kIntraUp);
                 append_binomial_bcast(s, seg, len, type, leader_mrank, /*tag_base=*/k);
             }
         }
@@ -257,7 +258,7 @@ int build_hier_reduce(Schedule& s, void const* input, void* recvbuf, int count, 
     std::size_t const bytes =
         static_cast<std::size_t>(count) * static_cast<std::size_t>(type->extent);
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const my_mrank = my_member_index(ni, r);
     bool const node_leader = mem.front() == r;
@@ -279,7 +280,7 @@ int build_hier_reduce(Schedule& s, void const* input, void* recvbuf, int count, 
         if (use_shm) {
             append_shm_tree_reduce(s, mem, my_mrank, input, node_acc, count, type, op, kIntraUp);
         } else {
-            GroupScope scope(s, mem, my_mrank, kIntraUp);
+            GroupScope scope(s, std::vector<int>(mem.begin(), mem.end()), my_mrank, kIntraUp);
             append_binomial_reduce(s, input, node_acc, count, type, op, /*root=*/0,
                                    /*tag_base=*/0);
         }
@@ -365,7 +366,7 @@ void build_hier_allreduce_2d(Schedule& s, void const* input, void* recvbuf, int 
     int const r = s.rank();
     std::size_t const extent = static_cast<std::size_t>(type->extent);
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const my_mrank = my_member_index(ni, r);
 
@@ -457,8 +458,7 @@ void build_hier_allreduce_2d(Schedule& s, void const* input, void* recvbuf, int 
             std::vector<int> peers;
             peers.reserve(static_cast<std::size_t>(n));
             for (int g = 0; g < n; ++g)
-                peers.push_back(ni.members[static_cast<std::size_t>(g)]
-                                          [static_cast<std::size_t>(my_slice)]);
+                peers.push_back(ni.members(g)[static_cast<std::size_t>(my_slice)]);
             int const inner = select_flat(Family::allreduce, n,
                                           static_cast<std::size_t>(cnt) *
                                               static_cast<std::size_t>(type->size),
@@ -527,7 +527,7 @@ void build_hier_allreduce_leader(Schedule& s, void const* input, void* recvbuf, 
     std::size_t const bytes =
         static_cast<std::size_t>(count) * static_cast<std::size_t>(type->extent);
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const my_mrank = my_member_index(ni, r);
     bool const node_leader = mem.front() == r;
@@ -549,7 +549,7 @@ void build_hier_allreduce_leader(Schedule& s, void const* input, void* recvbuf, 
         if (use_shm) {
             append_shm_tree_reduce(s, mem, my_mrank, input, node_acc, count, type, op, kIntraUp);
         } else {
-            GroupScope scope(s, mem, my_mrank, kIntraUp);
+            GroupScope scope(s, std::vector<int>(mem.begin(), mem.end()), my_mrank, kIntraUp);
             append_binomial_reduce(s, input, node_acc, count, type, op, /*root=*/0,
                                    /*tag_base=*/0);
         }
@@ -590,7 +590,7 @@ void build_hier_allreduce_leader(Schedule& s, void const* input, void* recvbuf, 
                 s.copy_get(kIntraDown, mem.front(), recvbuf, /*src_byte_off=*/0, count, type);
             }
         } else {
-            GroupScope scope(s, mem, my_mrank, kIntraDown);
+            GroupScope scope(s, std::vector<int>(mem.begin(), mem.end()), my_mrank, kIntraDown);
             append_binomial_bcast(s, recvbuf, count, type, /*root=*/0, /*tag_base=*/0);
         }
     }
@@ -633,7 +633,7 @@ int build_hier_allgather_unpipelined(Schedule& s, void* recvbuf, int recvcount,
     std::size_t const bb =
         static_cast<std::size_t>(recvcount) * static_cast<std::size_t>(recvtype->size);
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const my_mrank = my_member_index(ni, r);
     bool const node_leader = mem.front() == r;
@@ -657,7 +657,7 @@ int build_hier_allgather_unpipelined(Schedule& s, void* recvbuf, int recvcount,
     // blocks need not be contiguous in recvbuf.
     if (node_leader && n > 1) {
         auto node_size = [&](int g) {
-            return static_cast<int>(ni.members[static_cast<std::size_t>(g)].size());
+            return static_cast<int>(ni.members(g).size());
         };
         std::size_t const max_bundle = static_cast<std::size_t>(ni.max_ppn) * bb;
         std::byte* cur = s.alloc(max_bundle);
@@ -665,12 +665,12 @@ int build_hier_allgather_unpipelined(Schedule& s, void* recvbuf, int recvcount,
         // Pack this node's bundle (a local step: phase A receives must have
         // landed first, and step order guarantees that).
         if (bb > 0) {
-            auto const* members = &ni.members[static_cast<std::size_t>(ni.my_node)];
+            auto const members = ni.members(ni.my_node);
             s.local([cur, members, recvbuf, recvcount, recvtype, bb]() {
-                for (std::size_t i = 0; i < members->size(); ++i) {
+                for (std::size_t i = 0; i < members.size(); ++i) {
                     recvtype->pack(
                         at_offset(recvbuf,
-                                  static_cast<long long>((*members)[i]) * recvcount, recvtype),
+                                  static_cast<long long>(members[i]) * recvcount, recvtype),
                         recvcount, cur + i * bb);
                 }
                 return MPI_SUCCESS;
@@ -690,13 +690,13 @@ int build_hier_allgather_unpipelined(Schedule& s, void* recvbuf, int recvcount,
                    MPI_BYTE);
             s.wait(slot);
             if (bb > 0) {
-                auto const* members = &ni.members[static_cast<std::size_t>(recv_node)];
+                auto const members = ni.members(recv_node);
                 s.local([next, members, recvbuf, recvcount, recvtype, bb]() {
-                    for (std::size_t i = 0; i < members->size(); ++i) {
+                    for (std::size_t i = 0; i < members.size(); ++i) {
                         recvtype->unpack(
                             next + i * bb, recvcount,
                             at_offset(recvbuf,
-                                      static_cast<long long>((*members)[i]) * recvcount,
+                                      static_cast<long long>(members[i]) * recvcount,
                                       recvtype));
                     }
                     return MPI_SUCCESS;
@@ -708,7 +708,7 @@ int build_hier_allgather_unpipelined(Schedule& s, void* recvbuf, int recvcount,
 
     // Phase C: the leader broadcasts the assembled result into its node.
     if (m > 1) {
-        GroupScope scope(s, mem, my_mrank, kIntraDown);
+        GroupScope scope(s, std::vector<int>(mem.begin(), mem.end()), my_mrank, kIntraDown);
         append_binomial_bcast(s, recvbuf, p * recvcount, recvtype, /*root=*/0, /*tag_base=*/0);
     }
     return MPI_SUCCESS;
@@ -731,7 +731,7 @@ int build_hier_allgather_pipelined(Schedule& s, void* recvbuf, int recvcount,
     int const r = s.rank();
     std::size_t const esz = static_cast<std::size_t>(recvtype->size);
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const my_mrank = my_member_index(ni, r);
     bool const node_leader = mem.front() == r;
@@ -777,16 +777,16 @@ int build_hier_allgather_pipelined(Schedule& s, void* recvbuf, int recvcount,
             // (source, tag) and both sides emit segments in ascending order.
             if (n > 1) {
                 auto node_size = [&](int g) {
-                    return static_cast<int>(nip->members[static_cast<std::size_t>(g)].size());
+                    return static_cast<int>(nip->members(g).size());
                 };
                 if (sb > 0) {
-                    auto const* members = &nip->members[static_cast<std::size_t>(ni.my_node)];
+                    auto const members = nip->members(ni.my_node);
                     std::byte* const cur = ring_cur;
                     s.local([cur, members, recvbuf, recvcount, recvtype, off, len, sb]() {
-                        for (std::size_t i = 0; i < members->size(); ++i) {
+                        for (std::size_t i = 0; i < members.size(); ++i) {
                             recvtype->pack(
                                 at_offset(recvbuf,
-                                          static_cast<long long>((*members)[i]) * recvcount + off,
+                                          static_cast<long long>(members[i]) * recvcount + off,
                                           recvtype),
                                 len, cur + i * sb);
                         }
@@ -807,14 +807,14 @@ int build_hier_allgather_pipelined(Schedule& s, void* recvbuf, int recvcount,
                            MPI_BYTE);
                     s.wait(slot);
                     if (sb > 0) {
-                        auto const* members = &nip->members[static_cast<std::size_t>(recv_node)];
+                        auto const members = nip->members(recv_node);
                         std::byte* const arrived = ring_next;
                         s.local([arrived, members, recvbuf, recvcount, recvtype, off, len, sb]() {
-                            for (std::size_t i = 0; i < members->size(); ++i) {
+                            for (std::size_t i = 0; i < members.size(); ++i) {
                                 recvtype->unpack(
                                     arrived + i * sb, len,
                                     at_offset(recvbuf,
-                                              static_cast<long long>((*members)[i]) * recvcount +
+                                              static_cast<long long>(members[i]) * recvcount +
                                                   off,
                                               recvtype));
                             }
@@ -840,7 +840,7 @@ int build_hier_allgather_pipelined(Schedule& s, void* recvbuf, int recvcount,
         }
         if (m > 1) {
             {
-                GroupScope scope(s, mem, my_mrank, kIntraDown);
+                GroupScope scope(s, std::vector<int>(mem.begin(), mem.end()), my_mrank, kIntraDown);
                 append_binomial_bcast(s, c_bundle, static_cast<int>(static_cast<std::size_t>(p) * sb),
                                       MPI_BYTE, /*root=*/0, /*tag_base=*/k);
             }
@@ -876,7 +876,7 @@ int build_hier_allgather_leader_shm(Schedule& s, void* recvbuf, int recvcount,
     std::size_t const bb =
         static_cast<std::size_t>(recvcount) * static_cast<std::size_t>(recvtype->size);
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const my_mrank = my_member_index(ni, r);
     bool const node_leader = mem.front() == r;
@@ -902,18 +902,18 @@ int build_hier_allgather_leader_shm(Schedule& s, void* recvbuf, int recvcount,
     // Phase B: leader ring, identical to the unpipelined composition.
     if (node_leader && n > 1) {
         auto node_size = [&](int g) {
-            return static_cast<int>(ni.members[static_cast<std::size_t>(g)].size());
+            return static_cast<int>(ni.members(g).size());
         };
         std::size_t const max_bundle = static_cast<std::size_t>(ni.max_ppn) * bb;
         std::byte* cur = s.alloc(max_bundle);
         std::byte* next = s.alloc(max_bundle);
         if (bb > 0) {
-            auto const* members = &ni.members[static_cast<std::size_t>(ni.my_node)];
+            auto const members = ni.members(ni.my_node);
             s.local([cur, members, recvbuf, recvcount, recvtype, bb]() {
-                for (std::size_t i = 0; i < members->size(); ++i) {
+                for (std::size_t i = 0; i < members.size(); ++i) {
                     recvtype->pack(
                         at_offset(recvbuf,
-                                  static_cast<long long>((*members)[i]) * recvcount, recvtype),
+                                  static_cast<long long>(members[i]) * recvcount, recvtype),
                         recvcount, cur + i * bb);
                 }
                 return MPI_SUCCESS;
@@ -933,13 +933,13 @@ int build_hier_allgather_leader_shm(Schedule& s, void* recvbuf, int recvcount,
                    MPI_BYTE);
             s.wait(slot);
             if (bb > 0) {
-                auto const* members = &ni.members[static_cast<std::size_t>(recv_node)];
+                auto const members = ni.members(recv_node);
                 s.local([next, members, recvbuf, recvcount, recvtype, bb]() {
-                    for (std::size_t i = 0; i < members->size(); ++i) {
+                    for (std::size_t i = 0; i < members.size(); ++i) {
                         recvtype->unpack(
                             next + i * bb, recvcount,
                             at_offset(recvbuf,
-                                      static_cast<long long>((*members)[i]) * recvcount,
+                                      static_cast<long long>(members[i]) * recvcount,
                                       recvtype));
                     }
                     return MPI_SUCCESS;
@@ -978,7 +978,7 @@ int build_hier_allgather_shm2d(Schedule& s, void* recvbuf, int recvcount, MPI_Da
     int const p = s.size();
     int const r = s.rank();
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const mi = my_member_index(ni, r);
 
@@ -987,17 +987,13 @@ int build_hier_allgather_shm2d(Schedule& s, void* recvbuf, int recvcount, MPI_Da
     // rings share tags kInter + k but are disjoint rank sets, so matching
     // is unambiguous.
     if (n > 1) {
-        int const right = ni.members[static_cast<std::size_t>((ni.my_node + 1) % n)]
-                                    [static_cast<std::size_t>(mi)];
-        int const left = ni.members[static_cast<std::size_t>((ni.my_node - 1 + n) % n)]
-                                   [static_cast<std::size_t>(mi)];
+        int const right = ni.members((ni.my_node + 1) % n)[static_cast<std::size_t>(mi)];
+        int const left = ni.members((ni.my_node - 1 + n) % n)[static_cast<std::size_t>(mi)];
         for (int k = 0; k < n - 1; ++k) {
             int const send_node = (ni.my_node - k + n) % n;
             int const recv_node = (ni.my_node - k - 1 + n) % n;
-            int const sw = ni.members[static_cast<std::size_t>(send_node)]
-                                     [static_cast<std::size_t>(mi)];
-            int const rw = ni.members[static_cast<std::size_t>(recv_node)]
-                                     [static_cast<std::size_t>(mi)];
+            int const sw = ni.members(send_node)[static_cast<std::size_t>(mi)];
+            int const rw = ni.members(recv_node)[static_cast<std::size_t>(mi)];
             int const slot =
                 s.post(left, kInter + k,
                        at_offset(recvbuf, static_cast<long long>(rw) * recvcount, recvtype),
@@ -1022,7 +1018,7 @@ int build_hier_allgather_shm2d(Schedule& s, void* recvbuf, int recvcount, MPI_Da
         for (int i = 0; i < m; ++i) {
             if (i == mi) continue;
             for (int g = 0; g < n; ++g) {
-                int const w = ni.members[static_cast<std::size_t>(g)][static_cast<std::size_t>(i)];
+                int const w = ni.members(g)[static_cast<std::size_t>(i)];
                 s.copy_get(kIntraUp + i, mem[static_cast<std::size_t>(i)],
                            at_offset(recvbuf, static_cast<long long>(w) * recvcount, recvtype),
                            static_cast<long long>(w) * recvcount *
@@ -1114,7 +1110,7 @@ int build_hier_alltoall_unpipelined(Schedule& s, void const* sendbuf, int sendco
         static_cast<std::size_t>(sendcount) * static_cast<std::size_t>(sendtype->size);
     std::size_t const row = static_cast<std::size_t>(p) * bb;
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const my_mrank = my_member_index(ni, r);
     bool const node_leader = mem.front() == r;
@@ -1147,8 +1143,8 @@ int build_hier_alltoall_unpipelined(Schedule& s, void const* sendbuf, int sendco
     for (int i = 1; i < n; ++i) {
         int const dst = (ni.my_node + i) % n;
         int const src = (ni.my_node - i + n) % n;
-        auto const& dmem = ni.members[static_cast<std::size_t>(dst)];
-        auto const& smem = ni.members[static_cast<std::size_t>(src)];
+        auto const dmem = ni.members(dst);
+        auto const smem = ni.members(src);
         std::size_t const out_bytes = static_cast<std::size_t>(m) * dmem.size() * bb;
         std::size_t const in_bytes = smem.size() * static_cast<std::size_t>(m) * bb;
         std::byte* const out = s.alloc(out_bytes);
@@ -1157,11 +1153,10 @@ int build_hier_alltoall_unpipelined(Schedule& s, void const* sendbuf, int sendco
         int const slot = s.post(leaders[static_cast<std::size_t>(src)], kInter + i, in,
                                 static_cast<int>(in_bytes), MPI_BYTE);
         if (bb > 0) {
-            auto const* dptr = &dmem;
-            s.local([out, rows, dptr, row, bb, m]() {
+                        s.local([out, rows, dmem, row, bb, m]() {
                 std::size_t pos = 0;
                 for (int i2 = 0; i2 < m; ++i2) {
-                    for (int w : *dptr) {
+                    for (int w : dmem) {
                         std::memcpy(out + pos,
                                     rows + static_cast<std::size_t>(i2) * row +
                                         static_cast<std::size_t>(w) * bb,
@@ -1188,7 +1183,7 @@ int build_hier_alltoall_unpipelined(Schedule& s, void const* sendbuf, int sendco
             s.local([out_row, nip, inbound, rows, row, bb, w, p, m, dest_comm_rank]() {
                 for (int q = 0; q < p; ++q) {
                     int const g = nip->node_of[static_cast<std::size_t>(q)];
-                    auto const& gm = nip->members[static_cast<std::size_t>(g)];
+                    auto const gm = nip->members(g);
                     std::size_t j = 0;
                     while (gm[j] != q) ++j;  // q's index within its node
                     std::byte const* const src =
@@ -1239,7 +1234,7 @@ int build_hier_alltoall_pipelined(Schedule& s, void const* sendbuf, int sendcoun
     std::size_t const sb_max = static_cast<std::size_t>(max_seg_len(sendcount, nseg)) * esz;
     std::size_t const rowseg_max = static_cast<std::size_t>(p) * sb_max;
 
-    auto const& mem = ni.members[static_cast<std::size_t>(ni.my_node)];
+    auto const mem = ni.members(ni.my_node);
     int const m = static_cast<int>(mem.size());
     int const my_mrank = my_member_index(ni, r);
     bool const node_leader = mem.front() == r;
@@ -1297,10 +1292,10 @@ int build_hier_alltoall_pipelined(Schedule& s, void const* sendbuf, int sendcoun
         int const dst = (ni.my_node + i) % n;
         int const src = (ni.my_node - i + n) % n;
         outb[static_cast<std::size_t>(dst)] = s.alloc(
-            static_cast<std::size_t>(m) * ni.members[static_cast<std::size_t>(dst)].size() *
+            static_cast<std::size_t>(m) * ni.members(dst).size() *
             sb_max);
         inb[static_cast<std::size_t>(src)] = s.alloc(
-            ni.members[static_cast<std::size_t>(src)].size() * static_cast<std::size_t>(m) *
+            ni.members(src).size() * static_cast<std::size_t>(m) *
             sb_max);
     }
     std::vector<std::byte*> out_rows(static_cast<std::size_t>(m), nullptr);
@@ -1333,8 +1328,8 @@ int build_hier_alltoall_pipelined(Schedule& s, void const* sendbuf, int sendcoun
         for (int i = 1; i < n; ++i) {
             int const dst = (ni.my_node + i) % n;
             int const src = (ni.my_node - i + n) % n;
-            auto const& dmem = ni.members[static_cast<std::size_t>(dst)];
-            auto const& smem = ni.members[static_cast<std::size_t>(src)];
+            auto const dmem = ni.members(dst);
+            auto const smem = ni.members(src);
             std::size_t const out_bytes = static_cast<std::size_t>(m) * dmem.size() * sb;
             std::size_t const in_bytes = smem.size() * static_cast<std::size_t>(m) * sb;
             std::byte* const out = outb[static_cast<std::size_t>(dst)];
@@ -1342,11 +1337,10 @@ int build_hier_alltoall_pipelined(Schedule& s, void const* sendbuf, int sendcoun
             int const slot = s.post(leaders[static_cast<std::size_t>(src)], kInter + i, in,
                                     static_cast<int>(in_bytes), MPI_BYTE);
             if (sb > 0) {
-                auto const* dptr = &dmem;
-                s.local([out, rows, dptr, rowseg_max, sb, m]() {
+                s.local([out, rows, dmem, rowseg_max, sb, m]() {
                     std::size_t pos = 0;
                     for (int i2 = 0; i2 < m; ++i2) {
-                        for (int w : *dptr) {
+                        for (int w : dmem) {
                             std::memcpy(out + pos,
                                         rows + static_cast<std::size_t>(i2) * rowseg_max +
                                             static_cast<std::size_t>(w) * sb,
@@ -1371,7 +1365,7 @@ int build_hier_alltoall_pipelined(Schedule& s, void const* sendbuf, int sendcoun
                 s.local([out_row, nip, inb, rows, rowseg_max, sb, w, p, m, dest_comm_rank]() {
                     for (int q = 0; q < p; ++q) {
                         int const g = nip->node_of[static_cast<std::size_t>(q)];
-                        auto const& gm = nip->members[static_cast<std::size_t>(g)];
+                        auto const gm = nip->members(g);
                         std::size_t j = 0;
                         while (gm[j] != q) ++j;  // q's index within its node
                         std::byte const* const src =

@@ -67,6 +67,14 @@ struct DrySink {
         scratch_used = 0;
         nslots = 0;
     }
+    /// Forgets every recorded step and sticky flag for a new set of tapes,
+    /// keeping the step array's capacity.
+    void clear() {
+        steps.clear();
+        scratch_peak = 0;
+        over_tag = -1;
+        begin_build();
+    }
 };
 
 /// One step of a collective schedule. Sends complete at execution time (the

@@ -219,17 +219,52 @@ bool is_send(alg::TapeStep const& st) {
     return st.kind == alg::TapeStep::kSend || st.kind == alg::TapeStep::kCopyPub;
 }
 
-/// Sets post_of[i] to the global slot the send at step i pairs with (kNone
-/// if none). A counting sort buckets the sends by destination; each
+/// One thread's simulator working memory: the tape sink and every match and
+/// replay array. A call clears it but keeps its capacity, so a steady-state
+/// call faults in no page and never regrows its tape. Each thread keeps the
+/// capacity of the largest tape it simulated until the thread exits.
+struct Workspace {
+    struct Entry { std::uint64_t key; std::uint32_t head, tail; };
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+    alg::DrySink sink;
+    std::vector<std::uint32_t> step_begin, slot_begin;
+    // match(): sends bucketed by destination, one destination's table.
+    std::vector<std::uint32_t> post_of, in_begin, fill, in_step, next;
+    std::vector<std::uint64_t> in_key;
+    std::vector<Entry> table;  ///< every key kEmpty between destinations
+    // The event loop.
+    std::vector<double> arrival, finish;
+    std::vector<std::uint8_t> sent;
+    std::vector<std::uint32_t> blocked_on, pos, ready;
+};
+
+Workspace& workspace() {
+    thread_local Workspace ws;
+    return ws;
+}
+
+/// Grows `v` to at least `n` elements and never shrinks it; the caller
+/// uses the first n, which it overwrites before reading.
+template <typename T>
+void at_least(std::vector<T>& v, std::size_t n) {
+    if (v.size() < n) v.resize(n);
+}
+
+/// Sets ws.post_of[i] to the global slot the send at step i pairs with
+/// (kNone if none). A counting sort buckets the sends by destination; each
 /// destination's posts and incoming sends meet in a table sized to that one
 /// rank, so it stays in cache. Returns the number of channels whose send and
 /// post counts differ, or -1 if a step names a rank or slot out of range.
 long long match(std::vector<alg::TapeStep> const& steps,
                 std::vector<std::uint32_t> const& step_begin,
-                std::vector<std::uint32_t> const& slot_begin,
-                std::vector<std::uint32_t>& post_of) {
+                std::vector<std::uint32_t> const& slot_begin, Workspace& ws) {
+    using Entry = Workspace::Entry;
+    constexpr std::uint64_t kEmpty = Workspace::kEmpty;
     std::size_t const p = step_begin.size() - 1;
-    std::vector<std::uint32_t> in_begin(p + 1, 0);
+    ws.post_of.assign(steps.size(), kNone);
+    std::vector<std::uint32_t>& in_begin = ws.in_begin;
+    in_begin.assign(p + 1, 0);
     for (std::size_t r = 0; r < p; ++r) {
         for (std::uint32_t i = step_begin[r]; i < step_begin[r + 1]; ++i) {
             alg::TapeStep const& st = steps[i];
@@ -240,24 +275,22 @@ long long match(std::vector<alg::TapeStep> const& steps,
         }
     }
     std::partial_sum(in_begin.begin(), in_begin.end(), in_begin.begin());
-    std::vector<std::uint32_t> fill(in_begin.begin(), in_begin.end() - 1);
-    std::vector<std::uint64_t> in_key(in_begin[p]);  // (src << 16) | tag
-    std::vector<std::uint32_t> in_step(in_begin[p]);
+    ws.fill.assign(in_begin.begin(), in_begin.end() - 1);
+    at_least(ws.in_key, in_begin[p]);  // (src << 16) | tag
+    at_least(ws.in_step, in_begin[p]);
     for (std::size_t r = 0; r < p; ++r) {
         for (std::uint32_t i = step_begin[r]; i < step_begin[r + 1]; ++i) {
             if (!is_send(steps[i])) continue;
-            std::uint32_t const j = fill[steps[i].a]++;
-            in_key[j] = (std::uint64_t{r} << 16) | steps[i].tag;
-            in_step[j] = i;
+            std::uint32_t const j = ws.fill[steps[i].a]++;
+            ws.in_key[j] = (std::uint64_t{r} << 16) | steps[i].tag;
+            ws.in_step[j] = i;
         }
     }
     // Per destination: chain its posts FIFO per key, then let its incoming
     // sends (in sender tape order) pop them. A key that runs out of posts
     // gets tail = kNone; one with posts left keeps a head.
-    struct Entry { std::uint64_t key; std::uint32_t head, tail; };
-    constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-    std::vector<Entry> table;
-    std::vector<std::uint32_t> next;
+    std::vector<Entry>& table = ws.table;
+    std::vector<std::uint32_t>& next = ws.next;
     long long unmatched = 0;
     for (std::size_t d = 0; d < p; ++d) {
         std::uint32_t const nposts = slot_begin[d + 1] - slot_begin[d];
@@ -265,7 +298,7 @@ long long match(std::vector<alg::TapeStep> const& steps,
         int const bits = std::max(4, static_cast<int>(std::bit_width(want)));
         std::size_t const mask = (std::size_t{1} << bits) - 1;
         if (table.size() <= mask) table.resize(mask + 1, Entry{kEmpty, kNone, kNone});
-        if (next.size() < nposts) next.resize(nposts);
+        at_least(next, nposts);
         auto find = [&](std::uint64_t key) -> Entry& {
             // High bits of the product: its low bits see only the key's low bits.
             std::size_t h = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - bits));
@@ -273,32 +306,185 @@ long long match(std::vector<alg::TapeStep> const& steps,
             if (table[h].key == kEmpty) table[h] = {key, kNone, kNone};
             return table[h];
         };
+        // Empties this destination's table for the next one (and the next
+        // call: the table outlives it), counting the keys left unmatched.
+        auto drain = [&] {
+            for (std::size_t h = 0; h <= mask; ++h) {
+                Entry& e = table[h];
+                unmatched += e.key != kEmpty && (e.head != kNone || e.tail == kNone);
+                e.key = kEmpty;
+            }
+        };
         std::uint32_t k = 0;
         for (std::uint32_t i = step_begin[d]; i < step_begin[d + 1]; ++i) {
             if (steps[i].kind != alg::TapeStep::kPost) continue;
-            if (k == nposts) return -1;
+            if (k == nposts) {
+                drain();
+                return -1;
+            }
             Entry& e = find((std::uint64_t{steps[i].a} << 16) | steps[i].tag);
             (e.head == kNone ? e.head : next[e.tail]) = k;
             e.tail = k;
             next[k++] = kNone;
         }
         for (std::uint32_t j = in_begin[d]; j < in_begin[d + 1]; ++j) {
-            Entry& e = find(in_key[j]);
+            Entry& e = find(ws.in_key[j]);
             if (e.head == kNone) {
                 e.tail = kNone;
                 continue;
             }
-            post_of[in_step[j]] = slot_begin[d] + e.head;
+            ws.post_of[ws.in_step[j]] = slot_begin[d] + e.head;
             e.head = next[e.head];
         }
-        for (std::size_t h = 0; h <= mask; ++h) {
-            Entry& e = table[h];
-            unmatched += e.key != kEmpty && (e.head != kNone || e.tail == kNone);
-            e.key = kEmpty;
-        }
+        drain();
     }
     return unmatched;
 }
+
+/// The event loop over tapes already in the workspace's shape (see
+/// replay()); per-rank finish times are copied out only if `keep_finish`.
+Result run_tapes(World const& w, alg::DrySink const& sink,
+                 std::vector<std::uint32_t> const& step_begin,
+                 std::vector<std::uint32_t> const& slot_begin, bool keep_finish, Workspace& ws) {
+    Result res;
+    std::size_t const p = static_cast<std::size_t>(w.size);
+    auto const& steps = sink.steps;
+    Config const& cfg = w.cfg;
+    long long const unmatched = match(steps, step_begin, slot_begin, ws);
+    if (unmatched < 0) {
+        return fail(std::move(res), MPI_ERR_ARG,
+                    "malformed tape: a step names a rank or receive slot out of range");
+    }
+    std::vector<std::uint32_t> const& post_of = ws.post_of;
+    std::vector<double>& arrival = ws.arrival;  // read only once sent[g] is set
+    at_least(arrival, slot_begin[p]);
+    std::vector<std::uint8_t>& sent = ws.sent;
+    sent.assign(slot_begin[p], 0);
+    std::vector<std::uint32_t>& blocked_on = ws.blocked_on;
+    blocked_on.assign(p, kNone);
+    std::vector<std::uint32_t>& pos = ws.pos;
+    pos.assign(step_begin.begin(), step_begin.end() - 1);
+    std::vector<std::uint32_t>& ready = ws.ready;  // a stack: rank 0 runs first
+    ready.resize(p);
+    std::iota(ready.rbegin(), ready.rend(), 0u);
+    std::vector<double>& finish = ws.finish;
+    finish.assign(p, 0.0);
+    long long const limit = effective_event_limit();
+    std::size_t finished = 0;
+    while (!ready.empty()) {
+        std::uint32_t const r = ready.back();
+        ready.pop_back();
+        std::uint32_t const end = step_begin[r + 1];
+        double t = finish[r];
+        for (; pos[r] < end; ++pos[r]) {
+            alg::TapeStep const& st = steps[pos[r]];
+            if (st.kind == alg::TapeStep::kWait || st.kind == alg::TapeStep::kCopyWait) {
+                std::uint32_t const g = slot_begin[r] + st.a;
+                if (!sent[g]) {
+                    blocked_on[r] = g;
+                    break;
+                }
+                if (arrival[g] > t) t = arrival[g];
+                if (st.kind == alg::TapeStep::kCopyWait) {
+                    t += cfg.gamma_copy * static_cast<double>(st.bytes);
+                }
+            } else if (is_send(st)) {
+                std::uint32_t const dst = st.a;
+                double a;
+                if (st.kind == alg::TapeStep::kCopyPub) {
+                    // Rendezvous publish: the cell becomes visible one sync
+                    // constant later; the consumer's kCopyWait pays per byte.
+                    a = t + cfg.copy_sync;
+                } else {
+                    bool const intra = !w.node_map.empty() && w.node_map[r] == w.node_map[dst];
+                    t += intra ? cfg.o_intra : cfg.o;
+                    a = t + (intra ? cfg.alpha_intra : cfg.alpha) +
+                        (intra ? cfg.beta_intra : cfg.beta) * static_cast<double>(st.bytes);
+                }
+                if (std::uint32_t const g = post_of[pos[r]]; g != kNone) {
+                    arrival[g] = a;
+                    sent[g] = 1;
+                    if (blocked_on[dst] == g) {
+                        ready.push_back(dst);
+                        blocked_on[dst] = kNone;
+                    }
+                }
+            }
+            ++res.events;
+            if (limit > 0 && res.events > static_cast<std::uint64_t>(limit)) {
+                return fail(std::move(res), MPI_ERR_OTHER,
+                            "event limit (" + std::to_string(limit) +
+                                ") exceeded; raise it via XMPI_T_sim_event_limit_set or "
+                                "XMPI_SIM_EVENT_LIMIT");
+            }
+        }
+        finish[r] = t;
+        if (pos[r] == end) ++finished;
+    }
+    if (finished < p) {
+        return fail(std::move(res), MPI_ERR_OTHER,
+                    "simulated deadlock: " + std::to_string(p - finished) + " of " +
+                        std::to_string(p) + " ranks blocked on receives no send covers");
+    }
+    if (unmatched != 0) {
+        return fail(std::move(res), MPI_ERR_OTHER,
+                    std::to_string(unmatched) +
+                        " channels with unmatched sends/posts (tape is not a closed "
+                        "collective exchange)");
+    }
+    res.makespan = *std::max_element(finish.begin(), finish.end());
+    if (keep_finish) res.finish.assign(finish.begin(), finish.end());
+    return res;
+}
+
+/// Dry-builds per-rank tapes into the workspace's sink through the real
+/// builders, for one (spec, algorithm) on the fake communicator.
+struct RankBuilder {
+    FakeComm& fc;
+    CollSpec const& spec;
+    int alg_idx;
+    char const* alg_name;
+    MPI_Datatype type;
+    MPI_Op op;
+    Workspace& ws;
+
+    /// Appends rank r's tape to the sink. On failure, returns the error
+    /// code and sets `detail`.
+    int build(int r, std::string& detail) {
+        fc.set_rank(r);
+        alg::Schedule s(&fc.comm, /*seq=*/0);
+        s.begin_dry(&ws.sink);
+        int const rc = dry_build_one(spec.family, alg_idx, s, spec, type, op);
+        g_dry_builds.fetch_add(1, std::memory_order_relaxed);
+        if (rc != MPI_SUCCESS) {
+            detail = std::string("builder \"") + alg_name + "\" failed at rank " +
+                     std::to_string(r);
+            return rc;
+        }
+        if (ws.sink.over_tag >= 0) {
+            detail = std::string("dry-built tape for \"") + alg_name +
+                     "\" exceeds the 10-bit step-tag budget (tag " +
+                     std::to_string(ws.sink.over_tag) +
+                     " >= 1024): messages of distinct phases would alias under coll_tag(); "
+                     "raise the pipeline segment size via XMPI_SEGMENT_BYTES / "
+                     "XMPI_T_segment_set, or coarsen the topology via XMPI_RANKS_PER_NODE / "
+                     "XMPI_T_topo_set";
+            return MPI_ERR_OTHER;
+        }
+        return MPI_SUCCESS;
+    }
+
+    /// build(), keeping the tape as rank r's: records where its steps and
+    /// receive slots begin and end.
+    int store(int r, std::string& detail) {
+        auto const ur = static_cast<std::size_t>(r);
+        ws.step_begin[ur] = static_cast<std::uint32_t>(ws.sink.steps.size());
+        int const rc = build(r, detail);
+        ws.step_begin[ur + 1] = static_cast<std::uint32_t>(ws.sink.steps.size());
+        ws.slot_begin[ur + 1] = ws.slot_begin[ur] + static_cast<std::uint32_t>(ws.sink.nslots);
+        return rc;
+    }
+};
 
 }  // namespace
 
@@ -373,49 +559,62 @@ Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
                     "infeasible: aggregate buffer span exceeds the fake address range");
     }
 
-    // Dry-build one tape per simulated rank through the real builders.
+    // Dry-build one tape per simulated rank through the real builders. Once
+    // the stored tape passes cap / 8 and its per-rank average projects it
+    // past the cap, the remaining ranks are counted, not stored: each is
+    // built, its length added to the count and its steps dropped. A count
+    // past the cap refuses the tape, so a tape is refused exactly when its
+    // true length exceeds the cap; a count within it builds the counted
+    // ranks again, keeping them.
     auto const t_build0 = std::chrono::steady_clock::now();
-    alg::DrySink sink;
-    std::vector<std::uint32_t> step_begin(static_cast<std::size_t>(p) + 1, 0);
-    std::vector<std::uint32_t> slot_begin(static_cast<std::size_t>(p) + 1, 0);
-    for (int r = 0; r < p; ++r) {
-        fc.set_rank(r);
-        alg::Schedule s(comm, /*seq=*/0);
-        s.begin_dry(&sink);
-        step_begin[static_cast<std::size_t>(r)] = static_cast<std::uint32_t>(sink.steps.size());
-        int const rc = dry_build_one(spec.family, alg_idx, s, spec, type, op);
-        g_dry_builds.fetch_add(1, std::memory_order_relaxed);
-        if (rc != MPI_SUCCESS) {
-            return fail(std::move(res), rc,
-                        std::string("builder \"") + res.alg_name + "\" failed at rank " +
-                            std::to_string(r));
+    Workspace& ws = workspace();
+    alg::DrySink& sink = ws.sink;
+    sink.clear();
+    ws.step_begin.assign(static_cast<std::size_t>(p) + 1, 0);
+    ws.slot_begin.assign(static_cast<std::size_t>(p) + 1, 0);
+    RankBuilder rb{fc, spec, alg_idx, res.alg_name, type, op, ws};
+    std::uint64_t const cap = opt.max_tape_steps;
+    auto refuse_cap = [&] {
+        return fail(std::move(res), MPI_ERR_OTHER,
+                    std::string("tape exceeds the step cap (") + std::to_string(cap) +
+                        " steps) — combination skipped, not truncated");
+    };
+    std::string detail;
+    int counted_from = p;  // first rank built only to count its steps
+    for (int r = 0; r < p && counted_from == p; ++r) {
+        if (int const rc = rb.store(r, detail); rc != MPI_SUCCESS) {
+            return fail(std::move(res), rc, std::move(detail));
         }
-        if (sink.over_tag >= 0) {
-            return fail(
-                std::move(res), MPI_ERR_OTHER,
-                std::string("dry-built tape for \"") + res.alg_name +
-                    "\" exceeds the 10-bit step-tag budget (tag " +
-                    std::to_string(sink.over_tag) + " >= 1024): messages of distinct phases "
-                    "would alias under coll_tag(); raise the pipeline segment size via "
-                    "XMPI_SEGMENT_BYTES / XMPI_T_segment_set, or coarsen the topology via "
-                    "XMPI_RANKS_PER_NODE / XMPI_T_topo_set");
+        std::uint64_t const stored = sink.steps.size();
+        if (stored > cap) return refuse_cap();
+        if (stored > cap / 8 &&
+            static_cast<double>(stored) / (r + 1) * p > static_cast<double>(cap)) {
+            counted_from = r + 1;
         }
-        if (sink.steps.size() > opt.max_tape_steps) {
-            return fail(std::move(res), MPI_ERR_OTHER,
-                        std::string("tape exceeds the step cap (") +
-                            std::to_string(opt.max_tape_steps) +
-                            " steps) — combination skipped, not truncated");
-        }
-        slot_begin[static_cast<std::size_t>(r) + 1] =
-            slot_begin[static_cast<std::size_t>(r)] + static_cast<std::uint32_t>(sink.nslots);
     }
-    step_begin[static_cast<std::size_t>(p)] = static_cast<std::uint32_t>(sink.steps.size());
+    if (counted_from < p) {
+        std::size_t const base = sink.steps.size();
+        std::uint64_t count = base;
+        for (int r = counted_from; r < p; ++r) {
+            if (int const rc = rb.build(r, detail); rc != MPI_SUCCESS) {
+                return fail(std::move(res), rc, std::move(detail));
+            }
+            count += sink.steps.size() - base;
+            sink.steps.resize(base);
+            if (count > cap) return refuse_cap();
+        }
+        for (int r = counted_from; r < p; ++r) {
+            if (int const rc = rb.store(r, detail); rc != MPI_SUCCESS) {
+                return fail(std::move(res), rc, std::move(detail));
+            }
+        }
+    }
     res.tape_steps = sink.steps.size();
     g_tape_steps.fetch_add(res.tape_steps, std::memory_order_relaxed);
     auto const t_build1 = std::chrono::steady_clock::now();
     res.build_seconds = std::chrono::duration<double>(t_build1 - t_build0).count();
 
-    Result run = replay(w, sink, step_begin, slot_begin);
+    Result run = run_tapes(w, sink, ws.step_begin, ws.slot_begin, opt.keep_finish, ws);
     g_events.fetch_add(run.events, std::memory_order_relaxed);
     res.events = run.events;
     res.run_seconds =
@@ -430,88 +629,7 @@ Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
 Result replay(World const& w, alg::DrySink const& sink,
               std::vector<std::uint32_t> const& step_begin,
               std::vector<std::uint32_t> const& slot_begin) {
-    Result res;
-    std::size_t const p = static_cast<std::size_t>(w.size);
-    auto const& steps = sink.steps;
-    Config const& cfg = w.cfg;
-    std::vector<std::uint32_t> post_of(steps.size(), kNone);
-    long long const unmatched = match(steps, step_begin, slot_begin, post_of);
-    if (unmatched < 0) {
-        return fail(std::move(res), MPI_ERR_ARG,
-                    "malformed tape: a step names a rank or receive slot out of range");
-    }
-    std::vector<double> arrival(slot_begin[p]);
-    std::vector<std::uint8_t> sent(slot_begin[p], 0);
-    std::vector<std::uint32_t> blocked_on(p, kNone);
-    std::vector<std::uint32_t> pos(step_begin.begin(), step_begin.end() - 1);
-    std::vector<std::uint32_t> ready(p);  // a stack: rank 0 runs first
-    std::iota(ready.rbegin(), ready.rend(), 0u);
-    res.finish.assign(p, 0.0);
-    long long const limit = effective_event_limit();
-    std::size_t finished = 0;
-    while (!ready.empty()) {
-        std::uint32_t const r = ready.back();
-        ready.pop_back();
-        std::uint32_t const end = step_begin[r + 1];
-        double t = res.finish[r];
-        for (; pos[r] < end; ++pos[r]) {
-            alg::TapeStep const& st = steps[pos[r]];
-            if (st.kind == alg::TapeStep::kWait || st.kind == alg::TapeStep::kCopyWait) {
-                std::uint32_t const g = slot_begin[r] + st.a;
-                if (!sent[g]) {
-                    blocked_on[r] = g;
-                    break;
-                }
-                if (arrival[g] > t) t = arrival[g];
-                if (st.kind == alg::TapeStep::kCopyWait) {
-                    t += cfg.gamma_copy * static_cast<double>(st.bytes);
-                }
-            } else if (is_send(st)) {
-                std::uint32_t const dst = st.a;
-                double a;
-                if (st.kind == alg::TapeStep::kCopyPub) {
-                    // Rendezvous publish: the cell becomes visible one sync
-                    // constant later; the consumer's kCopyWait pays per byte.
-                    a = t + cfg.copy_sync;
-                } else {
-                    bool const intra = !w.node_map.empty() && w.node_map[r] == w.node_map[dst];
-                    t += intra ? cfg.o_intra : cfg.o;
-                    a = t + (intra ? cfg.alpha_intra : cfg.alpha) +
-                        (intra ? cfg.beta_intra : cfg.beta) * static_cast<double>(st.bytes);
-                }
-                if (std::uint32_t const g = post_of[pos[r]]; g != kNone) {
-                    arrival[g] = a;
-                    sent[g] = 1;
-                    if (blocked_on[dst] == g) {
-                        ready.push_back(dst);
-                        blocked_on[dst] = kNone;
-                    }
-                }
-            }
-            ++res.events;
-            if (limit > 0 && res.events > static_cast<std::uint64_t>(limit)) {
-                return fail(std::move(res), MPI_ERR_OTHER,
-                            "event limit (" + std::to_string(limit) +
-                                ") exceeded; raise it via XMPI_T_sim_event_limit_set or "
-                                "XMPI_SIM_EVENT_LIMIT");
-            }
-        }
-        res.finish[r] = t;
-        if (pos[r] == end) ++finished;
-    }
-    if (finished < p) {
-        return fail(std::move(res), MPI_ERR_OTHER,
-                    "simulated deadlock: " + std::to_string(p - finished) + " of " +
-                        std::to_string(p) + " ranks blocked on receives no send covers");
-    }
-    if (unmatched != 0) {
-        return fail(std::move(res), MPI_ERR_OTHER,
-                    std::to_string(unmatched) +
-                        " channels with unmatched sends/posts (tape is not a closed "
-                        "collective exchange)");
-    }
-    res.makespan = *std::max_element(res.finish.begin(), res.finish.end());
-    return res;
+    return run_tapes(w, sink, step_begin, slot_begin, /*keep_finish=*/true, workspace());
 }
 
 void reset_sim_env_cache_for_testing() {

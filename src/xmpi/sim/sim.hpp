@@ -70,7 +70,13 @@ struct Options {
     bool keep_finish = false;
     /// Refuse tapes above this many steps (16 B each; replaying adds 4 B per
     /// step, and 12 B per send while matching): O(p^2) algorithm/size
-    /// combinations are *skipped and reported*, never built to exhaustion.
+    /// combinations are *skipped and reported*, never stored to exhaustion.
+    /// A tape is refused exactly when its true length exceeds the cap, but
+    /// it is counted, not stored: once the stored part passes cap / 8 and
+    /// its per-rank average projects past the cap, each remaining rank is
+    /// built, counted and dropped. If the count ends within the cap, those
+    /// ranks are built again and stored, and XMPI_T_sim_stats counts both
+    /// builds.
     std::uint64_t max_tape_steps = 60'000'000;
 };
 
@@ -89,7 +95,11 @@ struct Result {
     double run_seconds = 0.0;    ///< wall time of the replay: matching + event loop
 };
 
-/// Dry-builds and executes one collective on the simulated world.
+/// Dry-builds and executes one collective on the simulated world. The tapes
+/// and every replay array live in a per-thread workspace that a call clears
+/// but does not free, so repeated calls fault in no new memory; each thread
+/// keeps the capacity of the largest tape it simulated until the thread
+/// exits. Threads may simulate concurrently.
 Result simulate(World const& w, CollSpec const& spec, Options const& opt = {});
 
 /// Internal: replays per-rank tapes on `w`. Rank r runs sink.steps[step_begin[r],

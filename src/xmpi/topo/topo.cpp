@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 
 #include "../env.hpp"
 #include "../internal.hpp"
@@ -73,43 +74,49 @@ NodeInfo const& node_info(MPI_Comm comm) {
     if (comm->node_cache != nullptr) return *comm->node_cache;
     auto ni = std::make_unique<NodeInfo>();
     int const p = comm->size();
-    ni->node_of.assign(static_cast<std::size_t>(p), 0);
+    auto const np = static_cast<std::size_t>(p);
+    ni->node_of.resize(np);
+    ni->ranks.resize(np);
     auto const& world_map = comm->universe->node_of_world;
     if (world_map.empty()) {
-        // Flat topology: every rank is its own node. Short-circuit the
-        // dense-id scan below, which would be O(p^2) in this case.
-        ni->members.reserve(static_cast<std::size_t>(p));
-        for (int r = 0; r < p; ++r) {
-            ni->node_of[static_cast<std::size_t>(r)] = r;
-            ni->members.push_back({r});
-        }
+        // Flat topology: every rank is its own node.
+        std::iota(ni->node_of.begin(), ni->node_of.end(), 0);
+        std::iota(ni->ranks.begin(), ni->ranks.end(), 0);
+        ni->offsets.resize(np + 1);
+        std::iota(ni->offsets.begin(), ni->offsets.end(), 0);
         ni->my_node = comm->rank();
-        ni->max_ppn = 1;
-        ni->min_ppn = 1;
-        ni->contiguous = true;
         comm->node_cache = std::move(ni);
         return *comm->node_cache;
     }
     // Dense node ids in order of first appearance over ascending comm ranks.
     // Universe node ids are small non-negative ints (dense for every map the
     // runtime builds), so a vector indexed by the id densifies them in O(p).
-    std::vector<int> dense_of(  // universe node id -> dense node
-        static_cast<std::size_t>(*std::max_element(world_map.begin(), world_map.end())) + 1, -1);
-    for (int r = 0; r < p; ++r) {
+    std::size_t const ids =
+        static_cast<std::size_t>(*std::max_element(world_map.begin(), world_map.end())) + 1;
+    std::vector<int> dense_of(ids, -1);  // universe node id -> dense node
+    ni->offsets.assign(std::min(ids, np) + 1, 0);
+    int nodes = 0;
+    for (std::size_t r = 0; r < np; ++r) {
         int& dense = dense_of[static_cast<std::size_t>(
-            world_map[static_cast<std::size_t>(comm->world_of(r))])];
-        if (dense < 0) {
-            dense = static_cast<int>(ni->members.size());
-            ni->members.emplace_back();
-        }
-        ni->node_of[static_cast<std::size_t>(r)] = dense;
-        ni->members[static_cast<std::size_t>(dense)].push_back(r);
+            world_map[static_cast<std::size_t>(comm->world_of(static_cast<int>(r)))])];
+        if (dense < 0) dense = nodes++;
+        ni->node_of[r] = dense;
+        ++ni->offsets[static_cast<std::size_t>(dense) + 1];
+    }
+    // Counting sort of the ranks by node; dense_of becomes the fill cursor.
+    ni->offsets.resize(static_cast<std::size_t>(nodes) + 1);
+    std::partial_sum(ni->offsets.begin(), ni->offsets.end(), ni->offsets.begin());
+    std::copy(ni->offsets.begin(), ni->offsets.end() - 1, dense_of.begin());
+    for (std::size_t r = 0; r < np; ++r) {
+        ni->ranks[static_cast<std::size_t>(dense_of[static_cast<std::size_t>(ni->node_of[r])]++)] =
+            static_cast<int>(r);
     }
     ni->my_node = ni->node_of[static_cast<std::size_t>(comm->rank())];
     ni->max_ppn = 1;
     ni->min_ppn = p;
     ni->contiguous = true;
-    for (auto const& m : ni->members) {
+    for (int g = 0; g < nodes; ++g) {
+        std::span<int const> const m = ni->members(g);
         int const sz = static_cast<int>(m.size());
         if (sz > ni->max_ppn) ni->max_ppn = sz;
         if (sz < ni->min_ppn) ni->min_ppn = sz;

@@ -12,6 +12,8 @@
 /// network of PR 2: no two ranks share a node, every message is inter-node.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "xmpi/mpi.h"
@@ -55,9 +57,12 @@ bool same_node(Universe const* u, int wa, int wb);
 // ---------------------------------------------------------------------------
 
 struct NodeInfo {
-    /// Dense node index (ordered by smallest member comm rank) -> member
-    /// comm ranks in ascending order.
-    std::vector<std::vector<int>> members;
+    /// Member comm ranks grouped by dense node index (nodes ordered by
+    /// smallest member comm rank, members ascending within a node): node g
+    /// owns ranks[offsets[g], offsets[g + 1]). One flat array, so building
+    /// the structure costs a fixed number of allocations on any map.
+    std::vector<int> ranks;
+    std::vector<int> offsets;  ///< num_nodes() + 1 entries
     /// comm rank -> dense node index.
     std::vector<int> node_of;
     int my_node = 0;
@@ -69,8 +74,16 @@ struct NodeInfo {
     /// non-commutative operations).
     bool contiguous = true;
 
-    int num_nodes() const { return static_cast<int>(members.size()); }
-    int leader(int node) const { return members[static_cast<std::size_t>(node)].front(); }
+    int num_nodes() const { return static_cast<int>(offsets.size()) - 1; }
+    /// Member comm ranks of dense node `node`, ascending. The view stays
+    /// valid as long as this NodeInfo (the communicator's node cache) does.
+    std::span<int const> members(int node) const {
+        auto const g = static_cast<std::size_t>(node);
+        return std::span<int const>(ranks).subspan(
+            static_cast<std::size_t>(offsets[g]),
+            static_cast<std::size_t>(offsets[g + 1] - offsets[g]));
+    }
+    int leader(int node) const { return members(node).front(); }
     /// A topology is worth exploiting when there are >= 2 nodes and at least
     /// one node hosts >= 2 ranks.
     bool is_hierarchical() const { return num_nodes() >= 2 && max_ppn >= 2; }

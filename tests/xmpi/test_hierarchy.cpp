@@ -1,6 +1,7 @@
 /// @file test_hierarchy.cpp
 /// @brief The hierarchical topology subsystem: rank->node resolution
-/// (control / env / config), MPI_Comm_split_type + MPI_COMM_TYPE_SHARED and
+/// (control / env / config), the per-communicator node structure,
+/// MPI_Comm_split_type + MPI_COMM_TYPE_SHARED and
 /// the KaMPIng split_by_node() wrapper, two-tier p2p cost accounting and
 /// counters, topology-aware algorithm selection (hierarchical on multi-node
 /// shapes, unchanged from the flat registry on degenerate ones), and the
@@ -9,12 +10,16 @@
 /// message sizes on a multi-node shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "../testing_utils.hpp"
 #include "kamping/communicator.hpp"
+#include "src/xmpi/internal.hpp"
+#include "src/xmpi/topo/topo.hpp"
 #include "xmpi/mpi.h"
 #include "xmpi/xmpi.hpp"
 
@@ -44,6 +49,96 @@ std::string selected(char const* family) {
 // ---------------------------------------------------------------------------
 // Topology resolution and Comm_split_type
 // ---------------------------------------------------------------------------
+
+namespace {
+
+namespace topo = xmpi::detail::topo;
+
+/// The node structure of a communicator over `group` (comm rank -> world
+/// rank) in a universe with world node map `map`, seen from comm rank `me`.
+struct MapComm {
+    xmpi::detail::Universe uni;
+    xmpi_comm_t comm;
+    MapComm(std::vector<int> const& map, std::vector<int> const& group, int me) {
+        uni.size = static_cast<int>(group.size());
+        uni.node_of_world = map;
+        comm.universe = &uni;
+        comm.group = group;
+        comm.world_to_comm.assign(group.size(), -1);
+        for (std::size_t r = 0; r < group.size(); ++r) {
+            comm.world_to_comm[static_cast<std::size_t>(group[r])] = static_cast<int>(r);
+        }
+        comm.my_rank = me;
+    }
+};
+
+}  // namespace
+
+TEST(TopoNodeInfo, MatchesAReferenceBuiltFromTheMap) {
+    int const p = 12;
+    std::vector<int> identity(p);
+    std::iota(identity.begin(), identity.end(), 0);
+    std::vector<int> reversed(identity.rbegin(), identity.rend());
+    struct Map {
+        char const* name;
+        std::vector<int> node_of_world;
+    };
+    Map const maps[] = {{"flat", {}},
+                        {"block-4", {0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2}},
+                        {"ragged-5-2-5", {0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2}},
+                        {"interleaved", {0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}},
+                        {"sparse-ids", {7, 7, 3, 3, 3, 3, 3, 3, 7, 7, 7, 7}}};
+    for (Map const& m : maps) {
+        for (std::vector<int> const* group : {&identity, &reversed}) {
+            // Reference: nodes in order of first appearance over ascending
+            // comm ranks, members ascending.
+            std::vector<std::vector<int>> members;
+            std::vector<int> node_of(p);
+            std::vector<int> ids;
+            for (int r = 0; r < p; ++r) {
+                int const w = (*group)[static_cast<std::size_t>(r)];
+                int const id =
+                    m.node_of_world.empty() ? w : m.node_of_world[static_cast<std::size_t>(w)];
+                auto const it = std::find(ids.begin(), ids.end(), id);
+                int const g = static_cast<int>(it - ids.begin());
+                if (it == ids.end()) {
+                    ids.push_back(id);
+                    members.emplace_back();
+                }
+                node_of[static_cast<std::size_t>(r)] = g;
+                members[static_cast<std::size_t>(g)].push_back(r);
+            }
+            int min_ppn = p, max_ppn = 0;
+            bool contiguous = true;
+            for (auto const& mem : members) {
+                int const sz = static_cast<int>(mem.size());
+                min_ppn = std::min(min_ppn, sz);
+                max_ppn = std::max(max_ppn, sz);
+                contiguous = contiguous && mem.back() - mem.front() + 1 == sz;
+            }
+            for (int me : {0, p - 1}) {
+                SCOPED_TRACE(std::string(m.name) + (group == &identity ? "" : ", reversed group") +
+                             ", rank " + std::to_string(me));
+                MapComm mc(m.node_of_world, *group, me);
+                topo::NodeInfo const& ni = topo::node_info(&mc.comm);
+                ASSERT_EQ(static_cast<int>(members.size()), ni.num_nodes());
+                for (int g = 0; g < ni.num_nodes(); ++g) {
+                    auto const got = ni.members(g);
+                    EXPECT_EQ(members[static_cast<std::size_t>(g)],
+                              std::vector<int>(got.begin(), got.end()))
+                        << "node " << g;
+                    EXPECT_EQ(members[static_cast<std::size_t>(g)].front(), ni.leader(g));
+                }
+                EXPECT_EQ(node_of, ni.node_of);
+                EXPECT_EQ(node_of[static_cast<std::size_t>(me)], ni.my_node);
+                EXPECT_EQ(min_ppn, ni.min_ppn);
+                EXPECT_EQ(max_ppn, ni.max_ppn);
+                EXPECT_EQ(contiguous, ni.contiguous);
+                EXPECT_EQ(&ni, &topo::node_info(&mc.comm));  // cached
+            }
+        }
+    }
+}
 
 TEST(Topo, ControlRoundTrip) {
     int rpn = -1;

@@ -253,8 +253,11 @@ TEST(Shm, SimPricesCopyTapesAndShmWins) {
     // The virtual-time simulator executes kCopyPub/kCopyWait tape steps with
     // the copy-tier pricing; on the BENCH_shm acceptance shape (2 nodes x 8
     // ranks, 2 MiB allgather) the zero-copy composition must beat the p2p
-    // hierarchical one by at least 1.2x of simulated makespan.
+    // hierarchical one by at least 1.2x of simulated makespan. A segment pin
+    // from the environment (the tiny-segments CI leg) would make the builder
+    // skip the shm compositions, so the test scrubs it.
     testing_utils::ScrubAlgEnv const scrub;
+    testing_utils::ScrubEnv const segments({"XMPI_SEGMENT_BYTES"});
     int const p = 16, rpn = 8;
     int const count = 524288;  // x4 bytes = 2 MiB
     int hier_idx = -1;

@@ -8,10 +8,12 @@
 /// and bit-exact goldens of the replay's predictions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/model/analytic.hpp"
@@ -553,13 +555,15 @@ constexpr SimGolden kSimGoldens[] = {
     {"allreduce/flat-p1000000/4096B", 0x1.b4e016e28cd62p-13, 5999994, 5999994},
 };
 
-}  // namespace
+/// One golden row's world and spec.
+struct GoldenCase {
+    std::string key;
+    sim::World w;
+    sim::CollSpec spec;
+};
 
-TEST(SimGoldens, PredictionsAreBitIdentical) {
-    // Every CI leg must see the default tapes: no forced algorithm, segment
-    // size, shm switch or hierarchical fit from the environment.
-    ScrubAlgEnv const algs;
-    testing_utils::ScrubEnv const knobs({"XMPI_SEGMENT_BYTES", "XMPI_SHM", "XMPI_HIER_FIT"});
+/// Every family on three p = 1024 node shapes, plus the p = 10^6 allreduce.
+std::vector<GoldenCase> golden_cases() {
     std::vector<int> ragged;
     for (int n = 0; n < 16; ++n) ragged.push_back(n % 2 == 0 ? 48 : 80);
     struct Shape {
@@ -569,15 +573,18 @@ TEST(SimGoldens, PredictionsAreBitIdentical) {
     Shape const shapes[] = {{"flat", {}},
                             {"block-64", topo::block_map(1024, 64)},
                             {"ragged-48-80", topo::node_map_from_sizes(ragged)}};
-    struct Case {
-        std::string key;
-        int p;
-        std::vector<int> node_map;
-        Family family;
-        int count;
-        int elem_size;
+    std::vector<GoldenCase> cases;
+    auto add = [&](std::string key, int p, std::vector<int> const& node_map, Family family,
+                   int count, int elem_size) {
+        GoldenCase c;
+        c.key = std::move(key);
+        c.w.size = p;
+        c.w.node_map = node_map;
+        c.spec.family = family;
+        c.spec.count = count;
+        c.spec.elem_size = elem_size;
+        cases.push_back(std::move(c));
     };
-    std::vector<Case> cases;
     for (Shape const& sh : shapes) {
         for (int fi = 0; fi < alg::kFamilies; ++fi) {
             auto const family = static_cast<Family>(fi);
@@ -586,38 +593,244 @@ TEST(SimGoldens, PredictionsAreBitIdentical) {
                 per_block ? std::vector<int>{8} : std::vector<int>{1024, 1 << 18};
             for (int const count : counts) {
                 int const elem = per_block ? 1 : 4;
-                cases.push_back({std::string(alg::family_name(family)) + "/" + sh.name + "/" +
-                                     std::to_string(count * elem) + "B",
-                                 1024, sh.node_map, family, count, elem});
+                add(std::string(alg::family_name(family)) + "/" + sh.name + "/" +
+                        std::to_string(count * elem) + "B",
+                    1024, sh.node_map, family, count, elem);
             }
         }
     }
-    cases.push_back({"allreduce/flat-p1000000/4096B", 1'000'000, {}, Family::allreduce, 1024, 4});
-    for (Case const& c : cases) {
-        sim::World w;
-        w.size = c.p;
-        w.node_map = c.node_map;
-        sim::CollSpec spec;
-        spec.family = c.family;
-        spec.count = c.count;
-        spec.elem_size = c.elem_size;
-        sim::Result const res = sim::simulate(w, spec);
-        ASSERT_EQ(MPI_SUCCESS, res.error) << c.key << ": " << res.detail;
-        char row[256];
-        std::snprintf(row, sizeof row, "{\"%s\", %a, %llu, %llu},", c.key.c_str(), res.makespan,
-                      static_cast<unsigned long long>(res.events),
-                      static_cast<unsigned long long>(res.tape_steps));
-        SimGolden const* g = nullptr;
-        for (SimGolden const& k : kSimGoldens) {
-            if (c.key == k.key) g = &k;
+    add("allreduce/flat-p1000000/4096B", 1'000'000, {}, Family::allreduce, 1024, 4);
+    return cases;
+}
+
+GoldenCase golden_case(std::string const& key) {
+    for (GoldenCase& c : golden_cases()) {
+        if (c.key == key) return std::move(c);
+    }
+    ADD_FAILURE() << "no golden case " << key;
+    return {};
+}
+
+/// Simulates `c` and checks the result against its golden row.
+void expect_golden(GoldenCase const& c) {
+    sim::Result const res = sim::simulate(c.w, c.spec);
+    ASSERT_EQ(MPI_SUCCESS, res.error) << c.key << ": " << res.detail;
+    char row[256];
+    std::snprintf(row, sizeof row, "{\"%s\", %a, %llu, %llu},", c.key.c_str(), res.makespan,
+                  static_cast<unsigned long long>(res.events),
+                  static_cast<unsigned long long>(res.tape_steps));
+    SimGolden const* g = nullptr;
+    for (SimGolden const& k : kSimGoldens) {
+        if (c.key == k.key) g = &k;
+    }
+    ASSERT_NE(g, nullptr) << "no golden for " << row;
+    EXPECT_EQ(g->makespan, res.makespan) << row;
+    EXPECT_EQ(g->events, res.events) << row;
+    EXPECT_EQ(g->tape_steps, res.tape_steps) << row;
+}
+
+/// Every CI leg must see the default tapes: no forced algorithm, segment
+/// size, shm switch or hierarchical fit from the environment.
+struct DefaultTapes {
+    ScrubAlgEnv const algs;
+    testing_utils::ScrubEnv const knobs{{"XMPI_SEGMENT_BYTES", "XMPI_SHM", "XMPI_HIER_FIT"}};
+};
+
+}  // namespace
+
+TEST(SimGoldens, PredictionsAreBitIdentical) {
+    DefaultTapes const scrub;
+    for (GoldenCase const& c : golden_cases()) expect_golden(c);
+}
+
+namespace {
+
+int alg_index(Family f, char const* name) {
+    auto const& table = alg::algorithms(f);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        if (std::string(table[i].name) == name) return static_cast<int>(i);
+    }
+    ADD_FAILURE() << "no algorithm " << name;
+    return -1;
+}
+
+/// The flat bcast on a flat p = 1024 world: the root sends 1023 messages,
+/// every other rank posts and waits once, 3 * 1023 steps in all.
+sim::World flat_world() {
+    sim::World w;
+    w.size = 1024;
+    return w;
+}
+sim::CollSpec flat_bcast(int root) {
+    sim::CollSpec spec;
+    spec.family = Family::bcast;
+    spec.count = 16;
+    spec.elem_size = 4;
+    spec.root = root;
+    spec.force_alg = alg_index(Family::bcast, "flat");
+    return spec;
+}
+constexpr std::uint64_t kFlatBcastSteps = 3 * 1023;
+
+sim::Result simulate_capped(sim::World const& w, sim::CollSpec const& spec, std::uint64_t cap,
+                            bool keep_finish = false) {
+    sim::Options opt;
+    opt.max_tape_steps = cap;
+    opt.keep_finish = keep_finish;
+    return sim::simulate(w, spec, opt);
+}
+
+void expect_cap_refusal(sim::Result const& res, std::uint64_t cap) {
+    EXPECT_EQ(MPI_ERR_OTHER, res.error);
+    EXPECT_EQ("tape exceeds the step cap (" + std::to_string(cap) +
+                  " steps) — combination skipped, not truncated",
+              res.detail);
+    EXPECT_EQ(0u, res.tape_steps);
+}
+
+unsigned long long dry_builds() {
+    unsigned long long n = 0;
+    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_stats(&n, nullptr, nullptr, nullptr));
+    return n;
+}
+
+}  // namespace
+
+TEST(SimStepCap, StoredTapeAtTheCapSimulatesAndOneStepLessRefuses) {
+    // Rooted at the last rank, every stored prefix averages 2 steps per
+    // rank, so the tape is never projected past the cap: the root's 1023
+    // sends push the stored tape over it.
+    sim::World const w = flat_world();
+    sim::CollSpec const spec = flat_bcast(1023);
+    unsigned long long const b0 = dry_builds();
+    sim::Result const ok = simulate_capped(w, spec, kFlatBcastSteps);
+    ASSERT_EQ(MPI_SUCCESS, ok.error) << ok.detail;
+    EXPECT_EQ(kFlatBcastSteps, ok.tape_steps);
+    EXPECT_EQ(b0 + 1024, dry_builds());  // every rank built once
+    expect_cap_refusal(simulate_capped(w, spec, kFlatBcastSteps - 1), kFlatBcastSteps - 1);
+}
+
+TEST(SimStepCap, CountedTapeAtTheCapIsRebuiltBitIdenticallyAndOneStepLessRefuses) {
+    // Rooted at rank 0, the root's 1023 steps alone pass cap / 8 and project
+    // to about 1023 * 1024 steps, so ranks 1..1023 are counted, not stored.
+    sim::World const w = flat_world();
+    sim::CollSpec const spec = flat_bcast(0);
+    sim::Result const uncapped = simulate_capped(w, spec, 60'000'000, /*keep_finish=*/true);
+    ASSERT_EQ(MPI_SUCCESS, uncapped.error) << uncapped.detail;
+    ASSERT_EQ(kFlatBcastSteps, uncapped.tape_steps);
+
+    unsigned long long const b0 = dry_builds();
+    sim::Result const capped = simulate_capped(w, spec, kFlatBcastSteps, /*keep_finish=*/true);
+    ASSERT_EQ(MPI_SUCCESS, capped.error) << capped.detail;
+    // The count ended within the cap, so the counted ranks were built again
+    // to store them: 1024 + 1023 builds.
+    EXPECT_EQ(b0 + 2047, dry_builds());
+    EXPECT_EQ(uncapped.makespan, capped.makespan);
+    EXPECT_EQ(uncapped.events, capped.events);
+    EXPECT_EQ(uncapped.tape_steps, capped.tape_steps);
+    EXPECT_EQ(uncapped.finish, capped.finish);
+
+    unsigned long long const b1 = dry_builds();
+    expect_cap_refusal(simulate_capped(w, spec, kFlatBcastSteps - 1), kFlatBcastSteps - 1);
+    EXPECT_EQ(b1 + 1024, dry_builds());  // refused at the last count, no rebuild
+}
+
+TEST(SimStepCap, UniformTapeCountedPastTheCapRefusesWithoutStoringIt) {
+    // The flat allgather: every rank sends, posts and waits 1023 times. One
+    // step below its length, the tape passes cap / 8 after about 128 ranks
+    // with an exact projection past the cap, and the count refuses it.
+    sim::World const w = flat_world();
+    sim::CollSpec spec;
+    spec.family = Family::allgather;
+    spec.count = 8;
+    spec.elem_size = 1;
+    spec.force_alg = alg_index(Family::allgather, "flat");
+    std::uint64_t const steps = 1024ull * 3 * 1023;
+    sim::Result const ok = simulate_capped(w, spec, steps);
+    ASSERT_EQ(MPI_SUCCESS, ok.error) << ok.detail;
+    EXPECT_EQ(steps, ok.tape_steps);
+    expect_cap_refusal(simulate_capped(w, spec, steps - 1), steps - 1);
+}
+
+TEST(SimWorkspace, GoldenRowsReproduceAfterRefusedAndLargerCalls) {
+    DefaultTapes const scrub;
+    GoldenCase const small = golden_case("reduce/ragged-48-80/4096B");
+    GoldenCase const large = golden_case("allreduce/block-64/4096B");
+    expect_golden(small);
+    // A step-cap refusal midway through counting, a malformed tape refused
+    // midway through matching, and an event-limit refusal midway through
+    // the loop each leave the workspace dirty.
+    expect_cap_refusal(simulate_capped(flat_world(), flat_bcast(0), kFlatBcastSteps - 1),
+                       kFlatBcastSteps - 1);
+    expect_golden(small);
+    HandTapes overposted;
+    overposted.add_rank({t_send(1, 0, 8), t_post(1, 0, 8), t_post(1, 0, 8)});
+    overposted.add_rank({t_send(0, 0, 8), t_send(0, 0, 8), t_post(0, 0, 8)});
+    overposted.slot_begin = {0, 1, 2};
+    EXPECT_EQ(MPI_ERR_ARG, overposted.run().error);
+    expect_golden(small);
+    ASSERT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(1000));
+    EXPECT_EQ(MPI_ERR_OTHER, sim::simulate(large.w, large.spec).error);
+    ASSERT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(-1));
+    expect_golden(small);
+    // A larger call, then the smaller row again on the grown workspace.
+    expect_golden(large);
+    expect_golden(small);
+}
+
+TEST(SimWorkspace, ConcurrentThreadsEachReproduceTheirRow) {
+    DefaultTapes const scrub;
+    GoldenCase const rows[] = {golden_case("allreduce/block-64/4096B"),
+                               golden_case("alltoall/ragged-48-80/8B")};
+    std::vector<std::thread> threads;
+    for (GoldenCase const& row : rows) {
+        threads.emplace_back([&row] {
+            for (int i = 0; i < 3; ++i) expect_golden(row);
+        });
+    }
+    for (std::thread& t : threads) t.join();
+}
+
+TEST(SimSelect, PicksAtScaleArePinned) {
+    // select_at_scale at p = 2^12..2^20 on flat, block-512 and ragged
+    // (384/640 ranks per node) maps for a 4 KiB payload, as sim_scale runs it.
+    DefaultTapes const scrub;
+    auto ragged = [](int p) {
+        std::vector<int> sizes;
+        for (int placed = 0; placed < p;) {
+            int const next = std::min(sizes.size() % 2 == 0 ? 384 : 640, p - placed);
+            sizes.push_back(next);
+            placed += next;
         }
-        if (g == nullptr) {
-            ADD_FAILURE() << "no golden for " << row;
-            continue;
+        return topo::node_map_from_sizes(sizes);
+    };
+    // Per shape: the bcast, reduce, allgather, allreduce, alltoall picks.
+    char const* const flat = "binomial binomial rdoubling rabenseifner flat";
+    char const* const hier = "hierarchical hierarchical hierarchical hierarchical flat";
+    char const* const hier_rd = "hierarchical hierarchical rdoubling hierarchical flat";
+    for (int p = 1 << 12; p <= 1 << 20; p <<= 2) {
+        struct Shape {
+            std::vector<int> node_map;
+            char const* want;
+        };
+        Shape const shapes[] = {{{}, flat},
+                                {topo::block_map(p, 512), p < (1 << 20) ? hier : hier_rd},
+                                {ragged(p), hier_rd}};
+        for (Shape const& sh : shapes) {
+            sim::World w;
+            w.size = p;
+            w.node_map = sh.node_map;
+            std::string got;
+            for (int fi = 0; fi < alg::kFamilies; ++fi) {
+                sim::CollSpec spec;
+                spec.family = static_cast<Family>(fi);
+                spec.count = 1024;
+                spec.elem_size = 4;
+                if (fi > 0) got += " ";
+                got += sim::alg_name(spec.family, sim::select_at_scale(w, spec));
+            }
+            EXPECT_EQ(sh.want, got) << "p = " << p << ", " << sh.node_map.size() << " map entries";
         }
-        EXPECT_EQ(g->makespan, res.makespan) << row;
-        EXPECT_EQ(g->events, res.events) << row;
-        EXPECT_EQ(g->tape_steps, res.tape_steps) << row;
     }
 }
 
