@@ -1153,7 +1153,7 @@ int build_hier_alltoall_unpipelined(Schedule& s, void const* sendbuf, int sendco
         int const slot = s.post(leaders[static_cast<std::size_t>(src)], kInter + i, in,
                                 static_cast<int>(in_bytes), MPI_BYTE);
         if (bb > 0) {
-                        s.local([out, rows, dmem, row, bb, m]() {
+            s.local([out, rows, dmem, row, bb, m]() {
                 std::size_t pos = 0;
                 for (int i2 = 0; i2 < m; ++i2) {
                     for (int w : dmem) {
