@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -878,4 +879,152 @@ TEST(Trace, AttributionCoversTracedMakespan) {
 
     EXPECT_EQ(XMPI_T_trace_attribution(-1, nullptr), MPI_ERR_ARG);
     EXPECT_EQ(XMPI_T_trace_attribution(123456, &attr), MPI_ERR_OTHER);
+}
+
+namespace {
+
+/// Every XMPI_T_trace_attr field of one traced collective, bit for bit.
+struct AttrGolden {
+    char const* key;
+    double traced_makespan, replayed_makespan, attributed;
+    double alpha_inter, beta_inter, o_inter, alpha_intra, beta_intra, o_intra, start_skew;
+    unsigned long long steps;
+    int family, alg;
+};
+
+// Recorded with compute_scale = 0 on 4 ranks. A failure prints the new
+// value as a ready-to-paste row; re-record a row only when a traced tape or
+// the cost model is meant to change, and say so in CHANGES.md.
+// clang-format off
+constexpr AttrGolden kAttrGoldens[] = {
+    {"allreduce/hierarchical/shm", 0x1.376d968fb0aep-17, 0x1.376d968fb0aep-17, 0x1.376d968fb0aep-17, 0x1.0c6f7a0b5ed8dp-19, 0x1.b7cdfd9d7bdbbp-18, 0x1.ad7f29abcaf48p-23, 0x1.ad7f29abcaf48p-23, 0x1.5fd7fe1796495p-22, 0x0p+0, 0x0p+0, 28, 3, 5},
+    {"allreduce/hierarchical/p2p", 0x1.51fcb172d27b2p-17, 0x1.51fcb172d27b2p-17, 0x1.51fcb172d27b3p-17, 0x1.0c6f7a0b5ed8dp-19, 0x1.b7cdfd9d7bdbbp-18, 0x1.ad7f29abcaf48p-23, 0x1.ad7f29abcaf48p-22, 0x1.b7cdfd9d7bdbbp-21, 0x1.ad7f29abcaf48p-24, 0x0p+0, 36, 3, 5},
+    {"allreduce/ring", 0x1.13a807d958c57p-15, 0x1.13a807d958c57p-15, 0x1.13a807d958c57p-15, 0x1.92a737110e453p-17, 0x1.49da7e361ce4cp-16, 0x1.421f5f40d8376p-20, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 72, 3, 4},
+    {"allreduce/rdoubling", 0x1.00cfec63815eep-15, 0x1.00cfec63815eep-15, 0x1.00cfec63815eep-15, 0x1.0c6f7a0b5ed8dp-18, 0x1.b7cdfd9d7bdbbp-16, 0x1.ad7f29abcaf48p-22, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 24, 3, 2},
+    {"allgather/hierarchical/shm", 0x1.813f71b9378ffp-18, 0x1.813f71b9378ffp-18, 0x1.813f71b9379p-18, 0x1.0c6f7a0b5ed8dp-19, 0x1.b7cdfd9d7bdbbp-19, 0x1.ad7f29abcaf48p-23, 0x1.ad7f29abcaf48p-24, 0x1.5fd7fe1796495p-23, 0x0p+0, 0x0p+0, 24, 2, 3},
+    {"bcast/hierarchical/shm", 0x1.07fccb858b82fp-16, 0x1.07fccb858b82fp-16, 0x1.07fccb858b82fp-16, 0x1.0c6f7a0b5ed8dp-19, 0x1.b7cdfd9d7bdbbp-17, 0x1.ad7f29abcaf48p-23, 0x1.ad7f29abcaf48p-24, 0x1.5fd7fe1796495p-22, 0x0p+0, 0x0p+0, 7, 0, 3},
+    {"reduce/hierarchical/shm", 0x1.07fccb858b82fp-16, 0x1.07fccb858b82fp-16, 0x1.07fccb858b82fp-16, 0x1.0c6f7a0b5ed8dp-19, 0x1.b7cdfd9d7bdbbp-17, 0x1.ad7f29abcaf48p-23, 0x1.ad7f29abcaf48p-24, 0x1.5fd7fe1796495p-22, 0x0p+0, 0x0p+0, 7, 1, 2},
+    {"alltoall/hierarchical/shm", 0x1.24b0480db4137p-16, 0x1.24b0480db4137p-16, 0x1.24b0480db4136p-16, 0x1.0c6f7a0b5ed8dp-19, 0x1.b7cdfd9d7bdbbp-17, 0x1.ad7f29abcaf48p-23, 0x1.ad7f29abcaf48p-22, 0x1.b7cdfd9d7bdbbp-20, 0x1.ad7f29abcaf48p-24, 0x0p+0, 18, 4, 2},
+    {"bcast/binomial", 0x1.00cfec63815eep-15, 0x1.00cfec63815eep-15, 0x1.00cfec63815eep-15, 0x1.0c6f7a0b5ed8dp-18, 0x1.b7cdfd9d7bdbbp-16, 0x1.ad7f29abcaf48p-22, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 9, 0, 1},
+    {"alltoall/bruck", 0x1.25b8d9f844cfep-16, 0x1.25b8d9f844cfep-16, 0x1.25b8d9f844cfep-16, 0x1.0c6f7a0b5ed8dp-18, 0x1.b7cdfd9d7bdbbp-17, 0x1.ad7f29abcaf48p-22, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 24, 4, 1},
+    {"allreduce/ring/after-bcast", 0x1.088e7af4c1474p-14, 0x1.088e7af4c1474p-14, 0x1.13a807d958c57p-15, 0x1.92a737110e453p-17, 0x1.49da7e361ce4cp-16, 0x1.421f5f40d8376p-20, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.fae9dc205391fp-16, 72, 3, 4},
+};
+// clang-format on
+
+constexpr int kAttrCount = 2048;  ///< uint64 elements: 16 KiB vectors
+
+void attr_bcast(int) {
+    std::vector<std::uint64_t> buf(kAttrCount, 7);
+    ASSERT_EQ(MPI_Bcast(buf.data(), kAttrCount, MPI_UINT64_T, 0, MPI_COMM_WORLD), MPI_SUCCESS);
+}
+void attr_reduce(int r) {
+    std::vector<std::uint64_t> in(kAttrCount, static_cast<std::uint64_t>(r + 1));
+    std::vector<std::uint64_t> out(kAttrCount, 0);
+    ASSERT_EQ(MPI_Reduce(in.data(), out.data(), kAttrCount, MPI_UINT64_T, MPI_SUM, 0,
+                         MPI_COMM_WORLD),
+              MPI_SUCCESS);
+}
+void attr_allgather(int r) {
+    std::vector<std::uint64_t> in(kAttrCount / 4, static_cast<std::uint64_t>(r + 1));
+    std::vector<std::uint64_t> out(kAttrCount, 0);
+    ASSERT_EQ(MPI_Allgather(in.data(), kAttrCount / 4, MPI_UINT64_T, out.data(),
+                            kAttrCount / 4, MPI_UINT64_T, MPI_COMM_WORLD),
+              MPI_SUCCESS);
+}
+void attr_allreduce(int r) {
+    std::vector<std::uint64_t> in(kAttrCount, static_cast<std::uint64_t>(r + 1));
+    std::vector<std::uint64_t> out(kAttrCount, 0);
+    ASSERT_EQ(MPI_Allreduce(in.data(), out.data(), kAttrCount, MPI_UINT64_T, MPI_SUM,
+                            MPI_COMM_WORLD),
+              MPI_SUCCESS);
+}
+void attr_alltoall(int r) {
+    std::vector<std::uint64_t> in(kAttrCount, static_cast<std::uint64_t>(r + 1));
+    std::vector<std::uint64_t> out(kAttrCount, 0);
+    ASSERT_EQ(MPI_Alltoall(in.data(), kAttrCount / 4, MPI_UINT64_T, out.data(),
+                           kAttrCount / 4, MPI_UINT64_T, MPI_COMM_WORLD),
+              MPI_SUCCESS);
+}
+
+struct AttrCase {
+    char const* key;
+    int ranks_per_node;  ///< TopoPin
+    int shm;             ///< ShmPin
+    char const* family;
+    char const* alg;
+    void (*body)(int);
+    void (*before)(int) = nullptr;  ///< binomial bcast run first, to skew the entry
+};
+
+}  // namespace
+
+TEST(Trace, AttributionGoldens) {
+    testing_utils::ScrubEnv const knobs{{"XMPI_SEGMENT_BYTES"}};
+    testing_utils::ProgressPin const engine(0);
+    std::string const path = "trace_attr_goldens.json";
+    EnvVar const env("XMPI_TRACE", path);
+    AttrCase const cases[] = {
+        {"allreduce/hierarchical/shm", 2, 1, "allreduce", "hierarchical", attr_allreduce},
+        {"allreduce/hierarchical/p2p", 2, 0, "allreduce", "hierarchical", attr_allreduce},
+        {"allreduce/ring", 1, 0, "allreduce", "ring", attr_allreduce},
+        {"allreduce/rdoubling", 1, 0, "allreduce", "rdoubling", attr_allreduce},
+        {"allgather/hierarchical/shm", 2, 1, "allgather", "hierarchical", attr_allgather},
+        {"bcast/hierarchical/shm", 2, 1, "bcast", "hierarchical", attr_bcast},
+        {"reduce/hierarchical/shm", 2, 1, "reduce", "hierarchical", attr_reduce},
+        {"alltoall/hierarchical/shm", 2, 1, "alltoall", "hierarchical", attr_alltoall},
+        {"bcast/binomial", 1, 0, "bcast", "binomial", attr_bcast},
+        {"alltoall/bruck", 1, 0, "alltoall", "bruck", attr_alltoall},
+        // The allreduce starts where an imbalanced binomial bcast left each
+        // rank, so its path carries start skew.
+        {"allreduce/ring/after-bcast", 1, 0, "allreduce", "ring", attr_allreduce, attr_bcast},
+    };
+    xmpi::Config cfg;
+    cfg.compute_scale = 0.0;
+    for (AttrCase const& c : cases) {
+        TopoPin const topo(c.ranks_per_node);
+        testing_utils::ShmPin const shm(c.shm);
+        AlgPin const pin(c.family, c.alg);
+        std::optional<AlgPin> lead;
+        if (c.before != nullptr) lead.emplace("bcast", "binomial");
+        xmpi::run(
+            4,
+            [&c](int r) {
+                if (c.before != nullptr) c.before(r);
+                c.body(r);
+            },
+            cfg);
+        XMPI_T_trace_attr a;
+        ASSERT_EQ(XMPI_T_trace_attribution(-1, &a), MPI_SUCCESS) << c.key;
+        char row[512];
+        std::snprintf(row, sizeof row,
+                      "{\"%s\", %a, %a, %a, %a, %a, %a, %a, %a, %a, %a, %llu, %d, %d},", c.key,
+                      a.traced_makespan, a.replayed_makespan, a.attributed, a.alpha_inter,
+                      a.beta_inter, a.o_inter, a.alpha_intra, a.beta_intra, a.o_intra,
+                      a.start_skew, a.steps, a.family, a.alg);
+        AttrGolden const* g = nullptr;
+        for (AttrGolden const& k : kAttrGoldens) {
+            if (std::string(c.key) == k.key) g = &k;
+        }
+        if (g == nullptr) {
+            ADD_FAILURE() << "no golden for " << row;
+            continue;
+        }
+        EXPECT_EQ(g->traced_makespan, a.traced_makespan) << row;
+        EXPECT_EQ(g->replayed_makespan, a.replayed_makespan) << row;
+        EXPECT_EQ(g->attributed, a.attributed) << row;
+        EXPECT_EQ(g->alpha_inter, a.alpha_inter) << row;
+        EXPECT_EQ(g->beta_inter, a.beta_inter) << row;
+        EXPECT_EQ(g->o_inter, a.o_inter) << row;
+        EXPECT_EQ(g->alpha_intra, a.alpha_intra) << row;
+        EXPECT_EQ(g->beta_intra, a.beta_intra) << row;
+        EXPECT_EQ(g->o_intra, a.o_intra) << row;
+        EXPECT_EQ(g->start_skew, a.start_skew) << row;
+        EXPECT_EQ(g->steps, a.steps) << row;
+        EXPECT_EQ(g->family, a.family) << row;
+        EXPECT_EQ(g->alg, a.alg) << row;
+        if (c.before != nullptr) {
+            EXPECT_GT(a.start_skew, 0.0) << row;
+        }
+    }
+    std::remove(path.c_str());
 }
