@@ -608,10 +608,7 @@ BENCHMARK(BM_alltoall_hier_auto)->Arg(1)->Arg(64)->Arg(4096)->UseManualTime()->I
 // Trace-overhead smoke (BENCH_trace.json): invoked as `bench_overhead
 // --trace-smoke [out.json]` instead of the google-benchmark suite. Measures
 // the 1-element persistent-allreduce loop (the most instrumentation-dense
-// hot path: arm + step events every start) with XMPI_TRACE unset and set,
-// then runs one traced hierarchical allreduce and decomposes its makespan
-// via XMPI_T_trace_attribution. Exits nonzero when the attribution explains
-// less than 95% of the traced makespan.
+// hot path: arm + step events every start) with XMPI_TRACE unset and set.
 // ---------------------------------------------------------------------------
 
 double persistent_allreduce_rep() {
@@ -655,36 +652,11 @@ int trace_smoke(char const* out_path) {
     XMPI_T_alg_env_refresh();
     double const on = persistent_allreduce_best(kReps);
 
-    // One traced hierarchical allreduce on a 2-node topology, pure
-    // communication (compute_scale = 0), decomposed by the replay.
-    XMPI_T_topo_set(2);
-    XMPI_T_alg_set("allreduce", "hierarchical");
-    xmpi::Config cfg;
-    cfg.compute_scale = 0.0;
-    xmpi::run(
-        kRanks,
-        [](int rank) {
-            std::vector<std::uint64_t> send(8192, static_cast<std::uint64_t>(rank + 1));
-            std::vector<std::uint64_t> recv(8192, 0);
-            MPI_Allreduce(send.data(), recv.data(), 8192, MPI_UINT64_T, MPI_SUM,
-                          MPI_COMM_WORLD);
-            benchmark::DoNotOptimize(recv.data());
-        },
-        cfg);
-    XMPI_T_trace_attr attr;
-    std::memset(&attr, 0, sizeof(attr));
-    int const rc = XMPI_T_trace_attribution(-1, &attr);
-
-    XMPI_T_alg_set("allreduce", nullptr);
-    XMPI_T_topo_set(0);
     unsetenv("XMPI_TRACE");
     XMPI_T_alg_env_refresh();
     std::remove(scratch_trace);
 
     double const overhead_pct = off > 0 ? (on - off) / off * 100.0 : 0.0;
-    double const ratio = rc == MPI_SUCCESS && attr.traced_makespan > 0
-                             ? attr.attributed / attr.traced_makespan
-                             : 0.0;
 
     std::FILE* const f = std::fopen(out_path, "w");
     if (f == nullptr) {
@@ -701,42 +673,13 @@ int trace_smoke(char const* out_path) {
                  "    \"trace_off_ns_per_op\": %.1f,\n"
                  "    \"trace_on_ns_per_op\": %.1f,\n"
                  "    \"trace_on_overhead_pct\": %.2f\n"
-                 "  },\n"
-                 "  \"attribution_hier_allreduce\": {\n"
-                 "    \"family\": \"allreduce\",\n"
-                 "    \"alg\": \"hierarchical\",\n"
-                 "    \"ranks\": %d,\n"
-                 "    \"nodes\": 2,\n"
-                 "    \"payload_bytes\": %d,\n"
-                 "    \"traced_makespan_s\": %.9g,\n"
-                 "    \"replayed_makespan_s\": %.9g,\n"
-                 "    \"attributed_s\": %.9g,\n"
-                 "    \"attributed_ratio\": %.4f,\n"
-                 "    \"alpha_inter_s\": %.9g,\n"
-                 "    \"beta_inter_s\": %.9g,\n"
-                 "    \"o_inter_s\": %.9g,\n"
-                 "    \"alpha_intra_s\": %.9g,\n"
-                 "    \"beta_intra_s\": %.9g,\n"
-                 "    \"o_intra_s\": %.9g,\n"
-                 "    \"start_skew_s\": %.9g,\n"
-                 "    \"replayed_steps\": %llu\n"
                  "  }\n"
                  "}\n",
-                 kRanks, kInner, kReps, off * 1e9, on * 1e9, overhead_pct, kRanks,
-                 8192 * static_cast<int>(sizeof(std::uint64_t)), attr.traced_makespan,
-                 attr.replayed_makespan, attr.attributed, ratio, attr.alpha_inter,
-                 attr.beta_inter, attr.o_inter, attr.alpha_intra, attr.beta_intra,
-                 attr.o_intra, attr.start_skew, attr.steps);
+                 kRanks, kInner, kReps, off * 1e9, on * 1e9, overhead_pct);
     std::fclose(f);
 
-    std::fprintf(stderr,
-                 "trace-smoke: off %.0fns/op, on %.0fns/op (%+.2f%%); attribution "
-                 "ratio %.4f -> %s\n",
-                 off * 1e9, on * 1e9, overhead_pct, ratio, out_path);
-    if (rc != MPI_SUCCESS || ratio < 0.95) {
-        std::fprintf(stderr, "trace-smoke: FAILED (attribution must cover >= 95%%)\n");
-        return 1;
-    }
+    std::fprintf(stderr, "trace-smoke: off %.0fns/op, on %.0fns/op (%+.2f%%) -> %s\n", off * 1e9,
+                 on * 1e9, overhead_pct, out_path);
     return 0;
 }
 

@@ -47,7 +47,6 @@ std::byte* Schedule::alloc(std::size_t bytes) {
         auto const base = std::uintptr_t{1} << 46;
         std::byte* const p = reinterpret_cast<std::byte*>(base + dry_->scratch_used);
         dry_->scratch_used += aligned;
-        if (dry_->scratch_used > dry_->scratch_peak) dry_->scratch_peak = dry_->scratch_used;
         return p;
     }
     if (arena_.empty() || arena_.back().cap - arena_.back().used < aligned) {
@@ -224,7 +223,7 @@ bool Schedule::advance(bool blocking, int* err) {
                 trace::ev(trace::Ev::step_copy_pub, -1, st.tag_step, bytes, seq_);
                 shm::publish(*shm_block_, *st.cell, st.sbuf, bytes,
                              static_cast<std::uint32_t>(st.peer),
-                             rs->vnow + rs->universe->cfg.copy_sync);
+                             rs->vnow + cost::copy(rs->universe->cfg, bytes).sync);
                 shm::stats_add_publish();
                 // Peer schedules parked on this cell may be engine-driven,
                 // or nonblocking ones parked in a node-mate's mailbox wait.
@@ -256,7 +255,7 @@ bool Schedule::advance(bool blocking, int* err) {
                 progress::stimulate(comm_->universe, -1);
                 wake_node(comm_->universe, rs->world_rank);
                 rs->vnow.advance_to(arrival);
-                rs->vnow += rs->universe->cfg.gamma_copy * static_cast<double>(bytes);
+                rs->vnow += cost::copy(rs->universe->cfg, bytes).load;
                 ++rs->counters.shm_copies;
                 rs->counters.shm_copy_bytes += bytes;
                 shm::stats_add_copy(bytes);

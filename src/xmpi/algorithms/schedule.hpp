@@ -27,14 +27,13 @@ namespace xmpi::detail::alg {
 /// One recorded step of a *dry-built* tape (see Schedule::begin_dry): the
 /// compact, payload-free form the virtual-time simulator (src/xmpi/sim/)
 /// executes at simulated communicator sizes where real buffers cannot
-/// exist. Sends and posts carry only their matching key and byte count.
+/// exist; trace attribution lowers traced steps into the same form. Sends
+/// and posts carry only their matching key and byte count.
 ///
-/// Shared-memory copy steps lower to the same channel algebra the simulator
-/// already validates: a publish becomes one kCopyPub pseudo-send per
-/// expected get (priced copy_sync, no per-byte wire cost, no sender
-/// overhead) and a get becomes kPost + kCopyWait (the wait additionally
-/// charges gamma_copy * bytes — the consumer-side single copy). Drains are
-/// wall-clock-only synchronization and leave no tape record.
+/// Shared-memory copy steps lower to the same channel algebra: a publish
+/// becomes one kCopyPub pseudo-send per expected get and a get becomes
+/// kPost + kCopyWait, priced by cost::copy (sync from the publish, load at
+/// the wait). Drains are wall-clock-only and leave no tape record.
 struct TapeStep {
     enum : std::uint8_t { kSend = 0, kPost = 1, kWait = 2, kCopyPub = 3, kCopyWait = 4 };
     std::uint64_t bytes = 0;  ///< packed message size (send / post / copy)
@@ -58,7 +57,6 @@ struct DrySink {
 
     std::vector<TapeStep> steps;
     std::size_t scratch_used = 0;  ///< virtual bump offset of the current build
-    std::size_t scratch_peak = 0;  ///< max scratch_used over all builds
     int nslots = 0;                ///< receive slots of the current build
     int over_tag = -1;             ///< first full tag >= kTagBudget (sticky)
 
@@ -71,7 +69,6 @@ struct DrySink {
     /// keeping the step array's capacity.
     void clear() {
         steps.clear();
-        scratch_peak = 0;
         over_tag = -1;
         begin_build();
     }

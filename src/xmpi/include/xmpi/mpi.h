@@ -612,13 +612,14 @@ typedef struct XMPI_T_trace_attr {
     int alg;    /* selected algorithm index within the family, -1 unknown */
 } XMPI_T_trace_attr;
 
-/// Replays the schedule tape recorded for collective invocation `seq` of the
-/// last traced run (seq < 0: the most recently completed traced collective)
-/// through the transport's own LogP arithmetic and decomposes the finishing
-/// rank's critical path into named alpha/beta/o terms per tier. Compute time
-/// is not replayed, so observed-vs-attributed gaps surface real model
-/// divergence. MPI_ERR_OTHER when no traced run or no matching collective
-/// exists.
+/// Runs the simulator's event loop over the tape traced for collective `seq`
+/// of the last traced run (seq < 0: the last completed one) from each rank's
+/// entry skew, and splits the finishing rank's critical path into named
+/// alpha/beta/o terms per tier. Compute is not replayed, so gaps surface real
+/// model divergence. MPI_ERR_OTHER when no traced run or matching collective
+/// exists, or the tape cannot be replayed whole: a step names an untraced
+/// rank (its ring overflowed), or the replay deadlocks or leaves a channel
+/// unmatched.
 int XMPI_T_trace_attribution(long long seq, XMPI_T_trace_attr* out);
 
 // ---------------------------------------------------------------------------

@@ -146,6 +146,31 @@ struct Mailbox {
 };
 
 // ---------------------------------------------------------------------------
+// The machine model's charges, written once: deposit(), the schedule's copy
+// steps and the simulator's event loop (so also trace attribution) price
+// through these, from Config; alg::machine_of's tune overlay is for selection.
+// ---------------------------------------------------------------------------
+namespace cost {
+
+/// A message: the sender's clock advances by `o`; it arrives `alpha + wire`
+/// later (wire = beta * bytes), on the intra tier if the ranks share a node.
+struct Message { double o, alpha, wire; };
+inline Message message(Config const& c, bool intra, std::uint64_t bytes) {
+    double const b = static_cast<double>(bytes);
+    return intra ? Message{c.o_intra, c.alpha_intra, c.beta_intra * b}
+                 : Message{c.o, c.alpha, c.beta * b};
+}
+
+/// A shared-memory copy: a published cell is readable `sync` after the
+/// publish (the producer's clock stays); each reader then pays `load`.
+struct Copy { double sync, load; };
+inline Copy copy(Config const& c, std::uint64_t bytes) {
+    return {c.copy_sync, c.gamma_copy * static_cast<double>(bytes)};
+}
+
+}  // namespace cost
+
+// ---------------------------------------------------------------------------
 // Rank state
 // ---------------------------------------------------------------------------
 
@@ -493,12 +518,6 @@ bool any_member_dead(MPI_Comm comm);
 /// Returns an available fresh context id agreed by all members of `comm`
 /// (internal allreduce-max over the collective context).
 int agree_context(MPI_Comm comm);
-
-/// Internal building blocks reused across collectives and comm management.
-/// These run on the *collective* context of `comm` using its coll_seq.
-int coll_allgather_bytes(MPI_Comm comm, void const* send, int bytes_each, void* recv);
-int coll_allreduce_max_int(MPI_Comm comm, int value, int* out);
-int coll_barrier(MPI_Comm comm);
 
 /// Encodes collective step tags: (seq, step) -> tag.
 inline int coll_tag(std::uint64_t seq, int step) {

@@ -271,22 +271,20 @@ int deposit(RankState* sender, MPI_Comm comm, int context, int dest_comm_rank, i
     // Two-tier accounting: messages between ranks on the same node use the
     // intra-node (shared-memory) machine parameters.
     bool const intra = topo::same_node(u, sender->world_rank, dest_w);
-    double const alpha = intra ? u->cfg.alpha_intra : u->cfg.alpha;
-    double const beta = intra ? u->cfg.beta_intra : u->cfg.beta;
-    double const o = intra ? u->cfg.o_intra : u->cfg.o;
+    std::size_t const bytes = static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
+    cost::Message const m = cost::message(u->cfg, intra, bytes);
 
     charge_call(sender);
-    sender->vnow += o;
+    sender->vnow += m.o;
 
-    std::size_t const bytes = static_cast<std::size_t>(count) * static_cast<std::size_t>(type->size);
     Envelope env;
     env.context = context;
     env.src = comm->rank();
     env.tag = tag;
     env.bytes.resize(bytes);
     if (bytes > 0) type->pack(buf, count, env.bytes.data());
-    env.arrival = sender->vnow + alpha + beta * static_cast<double>(bytes);
-    env.ack_alpha = alpha;
+    env.arrival = sender->vnow + m.alpha + m.wire;
+    env.ack_alpha = m.alpha;
     env.ssend = sync;
 
     if (collective) {

@@ -206,14 +206,6 @@ Stats stats() {
     return s;
 }
 
-void stats_reset() {
-    GlobalStats& g = g_stats();
-    g.publishes.store(0, std::memory_order_relaxed);
-    g.copies.store(0, std::memory_order_relaxed);
-    g.copy_bytes.store(0, std::memory_order_relaxed);
-    g.drains.store(0, std::memory_order_relaxed);
-}
-
 void stats_add_publish() {
     g_stats().publishes.fetch_add(1, std::memory_order_relaxed);
 }

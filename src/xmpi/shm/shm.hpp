@@ -28,10 +28,8 @@
 /// seq (cache hit) rebinds to a fresh block while a persistent schedule keeps
 /// its block and advances epochs across restarts.
 ///
-/// Virtual-time pricing mirrors the LogP deposit path, with the copy tier
-/// from Config: publication costs the producer nothing, a consumer pays
-///   vnow = max(vnow, producer_vnow_at_publish + copy_sync)
-///        + gamma_copy * bytes
+/// Virtual time is priced by cost::copy: publication costs the producer
+/// nothing, a consumer pays vnow = max(vnow, publish vnow + sync) + load,
 /// and drains are wall-clock-only synchronization (no modeled cost).
 ///
 /// Knobs: XMPI_SHM=0 disables the transport (garbage values warn once and
@@ -154,7 +152,6 @@ struct Stats {
 };
 
 Stats stats();
-void stats_reset();
 void stats_add_publish();
 void stats_add_copy(std::uint64_t bytes);
 void stats_add_drain();

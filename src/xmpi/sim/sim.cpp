@@ -201,16 +201,15 @@ Result fail(Result res, int err, std::string detail) {
 // The loop is run-to-block: a ready rank executes steps, one event each,
 // until it finishes or blocks on a wait whose send has not happened yet;
 // that send re-readies it. State is one arrival time and sent flag per post
-// and one "blocked on post g" word per rank. Clock arithmetic mirrors
-// p2p.cpp verbatim (no compute charging: tapes carry no local work):
-//   send: vnow += o_tier; arrival = vnow + alpha_tier + beta_tier * bytes
+// and one "blocked on post g" word per rank. Clocks start at the caller's
+// start clocks and take the transport's own cost:: charges (no compute):
+//   send: vnow += o; arrival = vnow + alpha + wire      (cost::message)
 //   post: free (a plain step)
 //   wait: vnow = max(vnow, arrival of the matched send)
 // Shared-memory copy steps use the same channels (their tape tags carry a
-// high marker bit, so they never alias a message channel) with the
-// executor's copy-tier pricing:
-//   copy_pub:  publisher's clock unchanged; arrival = vnow + copy_sync
-//   copy_wait: vnow = max(vnow, arrival) + gamma_copy * bytes
+// high marker bit, so they never alias a message channel) and the copy tier:
+//   copy_pub:  publisher's clock unchanged; arrival = vnow + sync  (cost::copy)
+//   copy_wait: vnow = max(vnow, arrival) + load
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kNone = 0xFFFFFFFFu;
@@ -342,10 +341,14 @@ long long match(std::vector<alg::TapeStep> const& steps,
 }
 
 /// The event loop over tapes already in the workspace's shape (see
-/// replay()); per-rank finish times are copied out only if `keep_finish`.
+/// replay()); rank r's clock starts at start[r] (0 if `start` is empty), and
+/// per-rank finish times are copied out only if `keep_finish`. Only the
+/// kProvenance instantiation calls the observer; simulate() runs the other.
+template <bool kProvenance>
 Result run_tapes(World const& w, alg::DrySink const& sink,
                  std::vector<std::uint32_t> const& step_begin,
-                 std::vector<std::uint32_t> const& slot_begin, bool keep_finish, Workspace& ws) {
+                 std::vector<std::uint32_t> const& slot_begin, std::vector<double> const& start,
+                 bool keep_finish, Workspace& ws, Provenance* prov) {
     Result res;
     std::size_t const p = static_cast<std::size_t>(w.size);
     auto const& steps = sink.steps;
@@ -369,6 +372,8 @@ Result run_tapes(World const& w, alg::DrySink const& sink,
     std::iota(ready.rbegin(), ready.rend(), 0u);
     std::vector<double>& finish = ws.finish;
     finish.assign(p, 0.0);
+    std::copy(start.begin(), start.end(), finish.begin());
+    if constexpr (kProvenance) prov->begin(finish, slot_begin[p]);
     long long const limit = effective_event_limit();
     std::size_t finished = 0;
     while (!ready.empty()) {
@@ -384,24 +389,30 @@ Result run_tapes(World const& w, alg::DrySink const& sink,
                     blocked_on[r] = g;
                     break;
                 }
-                if (arrival[g] > t) t = arrival[g];
-                if (st.kind == alg::TapeStep::kCopyWait) {
-                    t += cfg.gamma_copy * static_cast<double>(st.bytes);
-                }
+                bool const gated = arrival[g] > t;
+                if (gated) t = arrival[g];
+                double const load =
+                    st.kind == alg::TapeStep::kCopyWait ? cost::copy(cfg, st.bytes).load : 0.0;
+                t += load;
+                if constexpr (kProvenance) prov->wait(r, g, gated, load);
             } else if (is_send(st)) {
                 std::uint32_t const dst = st.a;
+                std::uint32_t const g = post_of[pos[r]];
                 double a;
                 if (st.kind == alg::TapeStep::kCopyPub) {
                     // Rendezvous publish: the cell becomes visible one sync
                     // constant later; the consumer's kCopyWait pays per byte.
-                    a = t + cfg.copy_sync;
+                    double const sync = cost::copy(cfg, st.bytes).sync;
+                    a = t + sync;
+                    if constexpr (kProvenance) prov->send(r, g, true, 0.0, sync, 0.0);
                 } else {
                     bool const intra = !w.node_map.empty() && w.node_map[r] == w.node_map[dst];
-                    t += intra ? cfg.o_intra : cfg.o;
-                    a = t + (intra ? cfg.alpha_intra : cfg.alpha) +
-                        (intra ? cfg.beta_intra : cfg.beta) * static_cast<double>(st.bytes);
+                    cost::Message const m = cost::message(cfg, intra, st.bytes);
+                    t += m.o;
+                    a = t + m.alpha + m.wire;
+                    if constexpr (kProvenance) prov->send(r, g, intra, m.o, m.alpha, m.wire);
                 }
-                if (std::uint32_t const g = post_of[pos[r]]; g != kNone) {
+                if (g != kNone) {
                     arrival[g] = a;
                     sent[g] = 1;
                     if (blocked_on[dst] == g) {
@@ -614,7 +625,8 @@ Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
     auto const t_build1 = std::chrono::steady_clock::now();
     res.build_seconds = std::chrono::duration<double>(t_build1 - t_build0).count();
 
-    Result run = run_tapes(w, sink, ws.step_begin, ws.slot_begin, opt.keep_finish, ws);
+    Result run =
+        run_tapes<false>(w, sink, ws.step_begin, ws.slot_begin, {}, opt.keep_finish, ws, nullptr);
     g_events.fetch_add(run.events, std::memory_order_relaxed);
     res.events = run.events;
     res.run_seconds =
@@ -628,8 +640,16 @@ Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
 
 Result replay(World const& w, alg::DrySink const& sink,
               std::vector<std::uint32_t> const& step_begin,
-              std::vector<std::uint32_t> const& slot_begin) {
-    return run_tapes(w, sink, step_begin, slot_begin, /*keep_finish=*/true, workspace());
+              std::vector<std::uint32_t> const& slot_begin, std::vector<double> const& start,
+              Provenance* provenance) {
+    if (!start.empty() && start.size() + 1 != step_begin.size()) {
+        return fail(Result{}, MPI_ERR_ARG, "malformed tape: one start clock per rank");
+    }
+    Workspace& ws = workspace();
+    if (provenance != nullptr) {
+        return run_tapes<true>(w, sink, step_begin, slot_begin, start, true, ws, provenance);
+    }
+    return run_tapes<false>(w, sink, step_begin, slot_begin, start, true, ws, nullptr);
 }
 
 void reset_sim_env_cache_for_testing() {

@@ -5,8 +5,8 @@
 /// resulting payload-free tapes through a single-threaded event loop with a
 /// per-rank virtual clock, FIFO per-(source, tag) matching identical to the
 /// p2p engine's semantics (resolved once, before the loop), and per-message
-/// costs drawn from the two-tier machine model (intra/inter split plus
-/// sender overhead, exactly the deposit() arithmetic in p2p.cpp).
+/// costs drawn from the two-tier machine model by the cost:: helpers
+/// deposit() itself uses.
 ///
 /// Tapes carry byte counts, not payloads: no threads run, no user or
 /// scratch buffer is allocated (Schedule::begin_dry hands builders stable
@@ -102,12 +102,55 @@ struct Result {
 /// exits. Threads may simulate concurrently.
 Result simulate(World const& w, CollSpec const& spec, Options const& opt = {});
 
-/// Internal: replays per-rank tapes on `w`. Rank r runs sink.steps[step_begin[r],
-/// step_begin[r + 1]) and owns receive slots [slot_begin[r], slot_begin[r + 1]).
-/// simulate() feeds it dry-built tapes; tests feed hand-written ones.
+/// Critical-path provenance of a replay, after LogGOPSim (Hoefler et al.,
+/// HPDC 2010): each charge is a node chained to the one before it, and a
+/// wait whose arrival set the clock continues the sender's chain. The chain
+/// back from a rank's last node sums to its finish time: a start clock, then
+/// alpha (a copy rendezvous too), beta (wire, copy load) and o, per tier.
+struct Provenance {
+    enum Term : std::uint8_t { kSkew, kAlpha, kBeta, kO };
+    struct Node {
+        int prev;  ///< the charge before this one; -1 at a start clock
+        Term term;
+        bool intra;
+        double amount;
+    };
+    std::vector<Node> nodes;
+    std::vector<int> last;          ///< per rank: its newest node
+    std::vector<int> arrival_node;  ///< per receive slot: its message's last node
+
+    // The replay's hooks; a send no post takes has slot ~0u.
+    void begin(std::vector<double> const& start, std::size_t slots) {
+        nodes.clear();
+        last.clear();
+        for (double const t : start) last.push_back(push(-1, kSkew, false, t));
+        arrival_node.assign(slots, -1);
+    }
+    void send(std::uint32_t r, std::uint32_t slot, bool intra, double o, double alpha,
+              double wire) {
+        last[r] = push(last[r], kO, intra, o);
+        if (slot == ~0u) return;
+        arrival_node[slot] = push(push(last[r], kAlpha, intra, alpha), kBeta, intra, wire);
+    }
+    void wait(std::uint32_t r, std::uint32_t slot, bool gated, double load) {
+        if (gated) last[r] = arrival_node[slot];  // the arrival set the clock
+        if (load > 0.0) last[r] = push(last[r], kBeta, /*intra=*/true, load);
+    }
+    int push(int prev, Term term, bool intra, double amount) {
+        nodes.push_back({prev, term, intra, amount});
+        return static_cast<int>(nodes.size()) - 1;
+    }
+};
+
+/// Replays per-rank tapes on `w` through simulate()'s event loop. Rank r runs
+/// sink.steps[step_begin[r], step_begin[r + 1]), owns receive slots
+/// [slot_begin[r], slot_begin[r + 1]) and starts its clock at start[r] (0 if
+/// `start` is empty); a non-null `provenance` records the critical path.
+/// XMPI_T_trace_attribution feeds it traced tapes, tests hand-written ones.
 Result replay(World const& w, alg::DrySink const& sink,
               std::vector<std::uint32_t> const& step_begin,
-              std::vector<std::uint32_t> const& slot_begin);
+              std::vector<std::uint32_t> const& slot_begin,
+              std::vector<double> const& start = {}, Provenance* provenance = nullptr);
 
 /// Selection only — which algorithm the registry would pick for this
 /// (family, p, size, shape); no tape is built. Drives the selection-at-scale

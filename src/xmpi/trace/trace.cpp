@@ -22,6 +22,7 @@
 #include "../internal.hpp"
 #include "../progress.hpp"
 #include "../shm/shm.hpp"
+#include "../sim/sim.hpp"
 
 namespace xmpi::detail::trace {
 
@@ -756,52 +757,16 @@ int XMPI_T_trace_stats(unsigned long long* recorded, unsigned long long* dropped
 }
 
 // ---------------------------------------------------------------------------
-// Per-invocation critical-path attribution: replay the traced schedule tape
-// of one collective through the LogP arithmetic the transport itself uses
-// (deposit: t += o, arrival = t + alpha + beta*bytes; wait: t = max(t,
-// arrival)), carrying a provenance chain so the finishing rank's makespan
-// decomposes into named alpha/beta/o terms per tier.
+// Per-invocation critical-path attribution: one collective's traced steps,
+// lowered to a dry-build tape, run through sim::replay from each rank's entry
+// skew with provenance on; the finishing rank's chain names the terms.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-using xmpi::detail::trace::Ev;
-using xmpi::detail::trace::Record;
-
-struct ChainNode {
-    int prev = -1;       // index of the predecessor node in the arena
-    std::uint8_t term;   // 0 start-skew, 1 alpha, 2 beta, 3 o
-    std::uint8_t tier;   // 0 inter, 1 intra
-    double amount = 0.0;
-};
-
-struct ReplayStep {
-    Ev kind;
-    int peer;  // dest/src world rank for send/post; slot index for wait
-    int tag;
-    std::uint64_t bytes;
-};
-
-struct ReplayRank {
-    int world = -1;
-    double enter = 0.0;
-    double exit_t = 0.0;
-    std::vector<ReplayStep> steps;
-    std::vector<std::size_t> posts;  // step index per slot, in post order
-    double t = 0.0;
-    int last = -1;  // newest chain node
-    std::size_t pc = 0;
-    bool blocked = false;
-};
-
-struct SentMsg {
-    double t = 0.0;
-    int node = -1;  // sender's chain node at the send
-};
-
-}  // namespace
-
 int XMPI_T_trace_attribution(long long seq, XMPI_T_trace_attr* out) {
+    using xmpi::detail::trace::Ev;
+    using xmpi::detail::trace::Record;
+    namespace alg = xmpi::detail::alg;
+    namespace sim = xmpi::detail::sim;
     if (out == nullptr) return MPI_ERR_ARG;
     auto const lr = xmpi::detail::trace::last_run();
     if (!lr.valid) return MPI_ERR_OTHER;
@@ -822,149 +787,114 @@ int XMPI_T_trace_attribution(long long seq, XMPI_T_trace_attr* out) {
 
     // Collect, per participating rank, the *last* enter/exit pair carrying
     // `seq` and the schedule steps issued between them.
-    std::map<int, ReplayRank> ranks;
+    struct TracedRank {
+        double enter = 0.0, exit_t = 0.0;
+        std::vector<Record> steps;
+    };
+    std::map<int, TracedRank> ranks;
     for (Record const& r : lr.records) {
         if (r.seq != static_cast<std::uint64_t>(seq)) continue;
         auto const kind = static_cast<Ev>(r.kind);
         if (kind == Ev::coll_enter) {
-            ReplayRank& rr = ranks[r.rank];
-            rr.world = r.rank;
-            rr.enter = r.vtime;
-            rr.steps.clear();
-            rr.posts.clear();
+            ranks[r.rank] = TracedRank{r.vtime, 0.0, {}};
             if (r.family != 0xff) out->family = r.family;
             if (r.alg != 0xff) out->alg = r.alg;
-        } else if (kind == Ev::coll_exit) {
-            auto it = ranks.find(r.rank);
-            if (it != ranks.end()) it->second.exit_t = r.vtime;
+            continue;
+        }
+        auto const it = ranks.find(r.rank);
+        if (it == ranks.end()) continue;
+        if (kind == Ev::coll_exit) {
+            it->second.exit_t = r.vtime;
         } else if (kind == Ev::step_send || kind == Ev::step_post || kind == Ev::step_wait ||
                    kind == Ev::step_copy_pub || kind == Ev::step_copy_get) {
-            auto it = ranks.find(r.rank);
-            if (it == ranks.end()) continue;
-            ReplayRank& rr = it->second;
-            if (kind == Ev::step_post) rr.posts.push_back(rr.steps.size());
-            rr.steps.push_back({kind, r.peer, r.tag, r.bytes});
+            it->second.steps.push_back(r);
         }
     }
     if (ranks.empty()) return MPI_ERR_OTHER;
 
+    // Peers become dense indices over the traced ranks. A publish is traced
+    // once, but the tape pairs a pseudo-send with each get: list, per
+    // (producer, cell), one reader per get, and count the publishes.
     double enter_min = std::numeric_limits<double>::infinity();
     double exit_max = 0.0;
-    for (auto& [w, rr] : ranks) {
-        enter_min = std::min(enter_min, rr.enter);
-        exit_max = std::max(exit_max, rr.exit_t);
-    }
-    out->traced_makespan = exit_max - enter_min;
-
-    auto tier_of = [&](int a, int b) -> int {
-        auto const& nm = lr.node_of_world;
-        if (nm.empty()) return 0;
-        if (a < 0 || b < 0 || a >= static_cast<int>(nm.size()) ||
-            b >= static_cast<int>(nm.size()))
-            return 0;
-        return nm[static_cast<std::size_t>(a)] == nm[static_cast<std::size_t>(b)] ? 1 : 0;
-    };
-    double const alpha[2] = {lr.cfg.alpha, lr.cfg.alpha_intra};
-    double const beta[2] = {lr.cfg.beta, lr.cfg.beta_intra};
-    double const o[2] = {lr.cfg.o, lr.cfg.o_intra};
-
-    std::vector<ChainNode> nodes;
-    auto push_node = [&](int prev, std::uint8_t term, std::uint8_t tier, double amount) {
-        nodes.push_back({prev, term, tier, amount});
-        return static_cast<int>(nodes.size()) - 1;
-    };
-
-    for (auto& [w, rr] : ranks) {
-        double const skew = rr.enter - enter_min;
-        rr.last = push_node(-1, 0, 0, skew);
-        rr.t = skew;
-    }
-
-    auto msg_key = [](int src, int dst, int tag) {
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src) & 0xFFFF) << 48) |
-               (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst) & 0xFFFFF) << 28) |
-               static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0xFFFFFFF);
-    };
-    std::map<std::uint64_t, std::deque<SentMsg>> wire;
-    // Shared-memory publishes: one entry per (producer, cell), read by every
-    // consumer of the epoch (a publish is not consumed by its gets, unlike a
-    // message — fanout readers all pair with the same publish).
-    std::map<std::pair<int, int>, SentMsg> copy_wire;
-
-    unsigned long long executed = 0;
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& [w, rr] : ranks) {
-            while (rr.pc < rr.steps.size()) {
-                ReplayStep const& st = rr.steps[rr.pc];
-                if (st.kind == Ev::step_send) {
-                    int const tier = tier_of(rr.world, st.peer);
-                    rr.last = push_node(rr.last, 3, static_cast<std::uint8_t>(tier), o[tier]);
-                    rr.t += o[tier];
-                    wire[msg_key(rr.world, st.peer, st.tag)].push_back({rr.t, rr.last});
-                } else if (st.kind == Ev::step_copy_pub) {
-                    // Publication costs the producer nothing; the cell
-                    // becomes visible copy_sync later (priced at the get).
-                    copy_wire[{rr.world, st.tag}] = {rr.t, rr.last};
-                } else if (st.kind == Ev::step_copy_get) {
-                    auto it = copy_wire.find({st.peer, st.tag});
-                    if (it == copy_wire.end()) break;  // not published yet
-                    double const arrival = it->second.t + lr.cfg.copy_sync;
-                    if (arrival > rr.t) {
-                        // The rendezvous gated this rank: the sync constant
-                        // joins the intra alpha bucket, riding the
-                        // producer's chain.
-                        rr.last = push_node(it->second.node, 1, /*tier=*/1, lr.cfg.copy_sync);
-                        rr.t = arrival;
-                    }
-                    rr.last = push_node(rr.last, 2, /*tier=*/1,
-                                        lr.cfg.gamma_copy * static_cast<double>(st.bytes));
-                    rr.t += lr.cfg.gamma_copy * static_cast<double>(st.bytes);
-                } else if (st.kind == Ev::step_post) {
-                    // Posting is free in the model; slot bookkeeping happened
-                    // during collection.
-                } else if (st.kind == Ev::step_wait) {
-                    auto const slot = static_cast<std::size_t>(st.peer);
-                    if (slot >= rr.posts.size()) break;  // malformed; stop this rank
-                    ReplayStep const& post = rr.steps[rr.posts[slot]];
-                    auto it = wire.find(msg_key(post.peer, rr.world, post.tag));
-                    if (it == wire.end() || it->second.empty()) break;  // not sent yet
-                    SentMsg const msg = it->second.front();
-                    it->second.pop_front();
-                    int const tier = tier_of(post.peer, rr.world);
-                    double const arrival = msg.t + alpha[tier] + beta[tier] * post.bytes;
-                    if (arrival > rr.t) {
-                        int const an =
-                            push_node(msg.node, 1, static_cast<std::uint8_t>(tier), alpha[tier]);
-                        rr.last = push_node(an, 2, static_cast<std::uint8_t>(tier),
-                                            beta[tier] * post.bytes);
-                        rr.t = arrival;
-                    }
-                }
-                ++rr.pc;
-                ++executed;
-                progress = true;
+    sim::World world;
+    world.cfg = lr.cfg;
+    std::map<int, std::uint32_t> dense;
+    std::map<std::pair<int, int>, std::size_t> pubs;
+    std::map<std::pair<int, int>, std::vector<std::uint32_t>> readers;
+    for (auto const& [w, tr] : ranks) {
+        enter_min = std::min(enter_min, tr.enter);
+        exit_max = std::max(exit_max, tr.exit_t);
+        out->steps += tr.steps.size();
+        std::uint32_t const me = dense.emplace(w, world.size++).first->second;
+        if (!lr.node_of_world.empty()) {  // replay only compares node ids
+            world.node_map.push_back(lr.node_of_world[static_cast<std::size_t>(w)]);
+        }
+        for (Record const& r : tr.steps) {
+            if (r.kind == static_cast<std::uint8_t>(Ev::step_copy_pub)) ++pubs[{w, r.tag}];
+            if (r.kind == static_cast<std::uint8_t>(Ev::step_copy_get)) {
+                readers[{r.peer, r.tag}].push_back(me);
             }
         }
     }
-    out->steps = executed;
+    out->traced_makespan = exit_max - enter_min;
 
-    ReplayRank const* finisher = nullptr;
-    for (auto& [w, rr] : ranks) {
-        if (finisher == nullptr || rr.t > finisher->t) finisher = &rr;
-    }
-    out->replayed_makespan = finisher->t;
-
-    for (int n = finisher->last; n >= 0; n = nodes[static_cast<std::size_t>(n)].prev) {
-        ChainNode const& cn = nodes[static_cast<std::size_t>(n)];
-        bool const intra = cn.tier == 1;
-        switch (cn.term) {
-            case 0: out->start_skew += cn.amount; break;
-            case 1: (intra ? out->alpha_intra : out->alpha_inter) += cn.amount; break;
-            case 2: (intra ? out->beta_intra : out->beta_inter) += cn.amount; break;
-            case 3: (intra ? out->o_intra : out->o_inter) += cn.amount; break;
+    // Lower each rank's records as a dry build records them: a message keeps
+    // its coll_tag() step bits, a copy cell gets the copy marker bit, and a
+    // get (post + copy-wait) takes a slot that traced waits do not count.
+    alg::DrySink sink;
+    std::vector<std::uint32_t> step_begin{0}, slot_begin{0};
+    std::vector<double> start;
+    for (auto const& [w, tr] : ranks) {
+        start.push_back(tr.enter - enter_min);
+        std::vector<std::uint32_t> slot_of_post;
+        std::uint32_t slots = 0;
+        for (Record const& r : tr.steps) {
+            auto const kind = static_cast<Ev>(r.kind);
+            bool const copy = kind == Ev::step_copy_pub || kind == Ev::step_copy_get;
+            auto const tag = static_cast<std::uint16_t>(copy ? (r.tag & 0x7FFF) | 0x8000
+                                                             : r.tag & 0x3FF);
+            auto const peer = dense.find(r.peer);
+            if (kind == Ev::step_copy_pub) {  // readers are grouped: every pubs-th one
+                auto const& rd = readers[{w, r.tag}];
+                for (std::size_t k = 0; k < rd.size(); k += pubs[{w, r.tag}]) {
+                    sink.steps.push_back({r.bytes, rd[k], tag, alg::TapeStep::kCopyPub});
+                }
+            } else if (kind == Ev::step_wait) {
+                auto const k = static_cast<std::size_t>(r.peer);
+                if (k >= slot_of_post.size()) return MPI_ERR_OTHER;
+                sink.steps.push_back({0, slot_of_post[k], 0, alg::TapeStep::kWait});
+            } else if (peer == dense.end()) {
+                return MPI_ERR_OTHER;  // a rank the trace lost (its ring overflowed)
+            } else if (kind == Ev::step_send) {
+                sink.steps.push_back({r.bytes, peer->second, tag, alg::TapeStep::kSend});
+            } else {
+                sink.steps.push_back({r.bytes, peer->second, tag, alg::TapeStep::kPost});
+                if (copy) {
+                    sink.steps.push_back({r.bytes, slots, 0, alg::TapeStep::kCopyWait});
+                } else {
+                    slot_of_post.push_back(slots);
+                }
+                ++slots;
+            }
         }
+        step_begin.push_back(static_cast<std::uint32_t>(sink.steps.size()));
+        slot_begin.push_back(slot_begin.back() + slots);
+    }
+
+    sim::Provenance prov;
+    sim::Result const res = sim::replay(world, sink, step_begin, slot_begin, start, &prov);
+    if (res.error != MPI_SUCCESS) return MPI_ERR_OTHER;  // deadlock or unmatched channels
+    out->replayed_makespan = res.makespan;
+    double* const sums[4][2] = {{&out->start_skew, &out->start_skew},
+                                {&out->alpha_inter, &out->alpha_intra},
+                                {&out->beta_inter, &out->beta_intra},
+                                {&out->o_inter, &out->o_intra}};
+    auto const finisher = std::max_element(res.finish.begin(), res.finish.end());
+    for (int n = prov.last[static_cast<std::size_t>(finisher - res.finish.begin())]; n >= 0;
+         n = prov.nodes[static_cast<std::size_t>(n)].prev) {
+        sim::Provenance::Node const& node = prov.nodes[static_cast<std::size_t>(n)];
+        *sums[node.term][node.intra] += node.amount;
     }
     out->attributed = out->alpha_inter + out->beta_inter + out->o_inter + out->alpha_intra +
                       out->beta_intra + out->o_intra;

@@ -29,6 +29,21 @@ struct TopoPin {
     TopoPin& operator=(TopoPin const&) = delete;
 };
 
+/// Pins one family's algorithm for the scope via the XMPI_T_alg_set control
+/// channel (which beats XMPI_ALG_*); the destructor restores automatic
+/// selection.
+struct AlgPin {
+    AlgPin(char const* family, char const* algorithm) : family_(family) {
+        EXPECT_EQ(XMPI_T_alg_set(family, algorithm), MPI_SUCCESS);
+    }
+    ~AlgPin() { XMPI_T_alg_set(family_, nullptr); }
+    AlgPin(AlgPin const&) = delete;
+    AlgPin& operator=(AlgPin const&) = delete;
+
+private:
+    char const* family_;
+};
+
 /// Pins the zero-copy shared-memory transport on (1) or off (0) for the
 /// scope via the XMPI_T_shm_set control channel (beats XMPI_SHM, so tests
 /// behave identically under the shm-off CI leg). The destructor restores

@@ -25,16 +25,8 @@
 
 namespace {
 
+using testing_utils::AlgPin;
 using testing_utils::TopoPin;
-
-/// Pins one family's algorithm for the scope.
-struct AlgPin {
-    AlgPin(char const* family, char const* alg) : family_(family) {
-        EXPECT_EQ(XMPI_T_alg_set(family, alg), MPI_SUCCESS);
-    }
-    ~AlgPin() { XMPI_T_alg_set(family_, "auto"); }
-    char const* family_;
-};
 
 bool env_pins(char const* name) { return std::getenv(name) != nullptr; }
 

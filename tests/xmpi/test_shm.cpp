@@ -26,6 +26,7 @@ namespace topo = xmpi::detail::topo;
 
 namespace {
 
+using testing_utils::AlgPin;
 using testing_utils::ShmPin;
 using testing_utils::TopoPin;
 
@@ -75,17 +76,6 @@ private:
     char const* name_;
     bool had_ = false;
     std::string old_;
-};
-
-/// Pins one family's algorithm via the control API for the scope.
-struct AlgPin {
-    char const* family;
-    AlgPin(char const* fam, char const* name) : family(fam) {
-        EXPECT_EQ(MPI_SUCCESS, XMPI_T_alg_set(fam, name));
-    }
-    ~AlgPin() { XMPI_T_alg_set(family, "auto"); }
-    AlgPin(AlgPin const&) = delete;
-    AlgPin& operator=(AlgPin const&) = delete;
 };
 
 int pvar_index(std::string const& name) {

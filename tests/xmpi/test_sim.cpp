@@ -30,23 +30,13 @@ namespace topo = xmpi::detail::topo;
 namespace model = bench::model;
 
 using sim::Family;
+using testing_utils::AlgPin;
 using testing_utils::ScrubAlgEnv;
 using testing_utils::SeededRng;
 using testing_utils::SegPin;
 using testing_utils::TopoPin;
 
 namespace {
-
-/// Pins one family's algorithm through the control channel for a scope.
-struct AlgPin {
-    char const* family;
-    AlgPin(char const* fam, char const* name) : family(fam) {
-        EXPECT_EQ(MPI_SUCCESS, XMPI_T_alg_set(fam, name));
-    }
-    ~AlgPin() { XMPI_T_alg_set(family, "auto"); }
-    AlgPin(AlgPin const&) = delete;
-    AlgPin& operator=(AlgPin const&) = delete;
-};
 
 xmpi::Config pure_comm_config() {
     xmpi::Config cfg;
@@ -400,9 +390,10 @@ struct HandTapes {
         step_begin.push_back(static_cast<std::uint32_t>(sink.steps.size()));
         slot_begin.push_back(slot_begin.back() + posts);
     }
-    sim::Result run() {
+    sim::Result run(std::vector<double> const& start = {},
+                    sim::Provenance* provenance = nullptr) {
         w.size = static_cast<int>(step_begin.size()) - 1;
-        return sim::replay(w, sink, step_begin, slot_begin);
+        return sim::replay(w, sink, step_begin, slot_begin, start, provenance);
     }
 };
 
@@ -501,6 +492,65 @@ TEST(SimReplay, WaitsInReversePostOrder) {
     EXPECT_EQ(std::max(first, second), res.finish[0]);
     EXPECT_EQ(res.finish[0], res.makespan);
     EXPECT_EQ(6u, res.events);
+}
+
+TEST(SimReplay, StartClocksOffsetEachRank) {
+    // Rank 0 starts late and sends to rank 1, which starts earlier and waits;
+    // rank 2 starts after the arrival and only waits for rank 0's second send.
+    xmpi::Config const cfg;
+    double const t0 = 5e-6, t1 = 1e-6, t2 = 1e-3;
+    double const first = t0 + cfg.o + cfg.alpha + cfg.beta * 8.0;
+    HandTapes h;
+    h.add_rank({t_send(1, 1, 8), t_send(2, 1, 8)});
+    h.add_rank({t_post(0, 1, 8), t_wait(0)});
+    h.add_rank({t_post(0, 1, 8), t_wait(0)});
+    h.add_rank({});
+    sim::Result const res = h.run({t0, t1, t2, 7e-6});
+    ASSERT_EQ(MPI_SUCCESS, res.error) << res.detail;
+    ASSERT_EQ(4u, res.finish.size());
+    EXPECT_EQ(t0 + cfg.o + cfg.o, res.finish[0]);
+    EXPECT_EQ(first, res.finish[1]);
+    EXPECT_EQ(t2, res.finish[2]);  // its message arrived long before it started
+    EXPECT_EQ(7e-6, res.finish[3]);
+    EXPECT_EQ(t2, res.makespan);
+
+    HandTapes bad;
+    bad.add_rank({});
+    EXPECT_EQ(MPI_ERR_ARG, bad.run({0.0, 1.0}).error);
+}
+
+TEST(SimReplay, ProvenanceTermsSumToEachFinishTime) {
+    // Two nodes of two ranks; both tiers, a shared-memory copy and start
+    // skew all land on the critical path.
+    HandTapes h;
+    h.w.node_map = {0, 0, 1, 1};
+    std::uint16_t const cell = 0x8001;
+    h.add_rank({t_send(2, 1, kMiB), tape_step(alg::TapeStep::kCopyPub, 1, cell, 4096)});
+    h.add_rank({t_post(0, cell, 4096), tape_step(alg::TapeStep::kCopyWait, 0, 0, 4096),
+                t_send(3, 2, 64)});
+    h.add_rank({t_post(0, 1, kMiB), t_wait(0), t_send(3, 3, kMiB)});
+    h.add_rank({t_post(1, 2, 64), t_post(2, 3, kMiB), t_wait(0), t_wait(1)});
+    sim::Provenance prov;
+    sim::Result const res = h.run({2e-6, 0.0, 1e-6, 0.0}, &prov);
+    ASSERT_EQ(MPI_SUCCESS, res.error) << res.detail;
+    ASSERT_EQ(4u, prov.last.size());
+    double terms[4][2] = {};
+    for (std::size_t r = 0; r < 4; ++r) {
+        double sum = 0.0;
+        for (int n = prov.last[r]; n >= 0; n = prov.nodes[static_cast<std::size_t>(n)].prev) {
+            sim::Provenance::Node const& node = prov.nodes[static_cast<std::size_t>(n)];
+            sum += node.amount;
+            if (res.finish[r] == res.makespan) terms[node.term][node.intra] += node.amount;
+        }
+        EXPECT_NEAR(res.finish[r], sum, 1e-12 * res.finish[r]) << "rank " << r;
+    }
+    // The finisher (rank 3) waits on rank 2's intra-node MiB, which waited
+    // on rank 0's inter-node MiB, which started 2 us late.
+    EXPECT_EQ(res.finish[3], res.makespan);
+    EXPECT_EQ(2e-6, terms[sim::Provenance::kSkew][0]);
+    EXPECT_GT(terms[sim::Provenance::kBeta][0], 0.0);
+    EXPECT_GT(terms[sim::Provenance::kBeta][1], 0.0);
+    EXPECT_GT(terms[sim::Provenance::kO][1], 0.0);
 }
 
 TEST(SimReplay, EventLimitHitMidRunReportsIt) {

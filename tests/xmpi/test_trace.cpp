@@ -36,6 +36,7 @@ namespace {
 namespace xd = xmpi::detail;
 namespace xt = xmpi::detail::trace;
 
+using testing_utils::AlgPin;
 using testing_utils::EnvVar;
 using testing_utils::TopoPin;
 
@@ -64,19 +65,6 @@ private:
     char const* name_;
     bool had_ = false;
     std::string old_;
-};
-
-/// Pins one family's algorithm via the control API for the scope.
-struct AlgPin {
-    AlgPin(char const* family, char const* algorithm) : family_(family) {
-        EXPECT_EQ(XMPI_T_alg_set(family, algorithm), MPI_SUCCESS);
-    }
-    ~AlgPin() { XMPI_T_alg_set(family_, nullptr); }
-    AlgPin(AlgPin const&) = delete;
-    AlgPin& operator=(AlgPin const&) = delete;
-
-private:
-    char const* family_;
 };
 
 int pvar_index(std::string const& name) {
@@ -843,6 +831,7 @@ TEST(Trace, GarbageRingEnvWarnsAndDisablesTracing) {
 // Critical-path attribution
 // ---------------------------------------------------------------------------
 
+// Two inputs: 4096 ints and 8192 uint64s.
 TEST(Trace, AttributionCoversTracedMakespan) {
     TopoPin const topo(2);
     AlgPin const pin("allreduce", "hierarchical");
@@ -852,33 +841,42 @@ TEST(Trace, AttributionCoversTracedMakespan) {
 
     xmpi::Config cfg;
     cfg.compute_scale = 0.0;  // pure communication: the replay models no compute
-    xmpi::run(
-        4,
-        [](int r) {
-            std::vector<int> in(4096, r + 1);
-            std::vector<int> out(4096, 0);
-            ASSERT_EQ(MPI_Allreduce(in.data(), out.data(), 4096, MPI_INT, MPI_SUM,
-                                    MPI_COMM_WORLD),
-                      MPI_SUCCESS);
-        },
-        cfg);
+    struct Input {
+        MPI_Datatype type;
+        int count;
+    };
+    for (auto const [type, count] : {Input{MPI_INT, 4096}, Input{MPI_UINT64_T, 8192}}) {
+        xmpi::run(
+            4,
+            [&](int r) {
+                // Sized for the wider type; MPI_INT uses the first half.
+                std::vector<std::uint64_t> in(static_cast<std::size_t>(count),
+                                              static_cast<std::uint64_t>(r + 1));
+                std::vector<std::uint64_t> out(static_cast<std::size_t>(count), 0);
+                ASSERT_EQ(MPI_Allreduce(in.data(), out.data(), count, type, MPI_SUM,
+                                        MPI_COMM_WORLD),
+                          MPI_SUCCESS);
+            },
+            cfg);
 
-    XMPI_T_trace_attr attr;
-    ASSERT_EQ(XMPI_T_trace_attribution(-1, &attr), MPI_SUCCESS);
-    EXPECT_EQ(attr.family, static_cast<int>(xd::alg::Family::allreduce));
-    EXPECT_GT(attr.steps, 0ull);
-    ASSERT_GT(attr.traced_makespan, 0.0);
-    EXPECT_NEAR(attr.replayed_makespan, attr.traced_makespan, attr.traced_makespan * 0.05);
+        XMPI_T_trace_attr attr;
+        ASSERT_EQ(XMPI_T_trace_attribution(-1, &attr), MPI_SUCCESS) << count;
+        EXPECT_EQ(attr.family, static_cast<int>(xd::alg::Family::allreduce));
+        EXPECT_GT(attr.steps, 0ull);
+        ASSERT_GT(attr.traced_makespan, 0.0);
+        EXPECT_NEAR(attr.replayed_makespan, attr.traced_makespan, attr.traced_makespan * 0.05);
 
-    double const ratio = attr.attributed / attr.traced_makespan;
-    EXPECT_GE(ratio, 0.95) << "attribution must explain >= 95% of the traced makespan";
-    EXPECT_LE(ratio, 1.05);
-    // A hierarchical run crosses both tiers.
-    EXPECT_GT(attr.alpha_inter + attr.beta_inter + attr.o_inter, 0.0);
-    EXPECT_GT(attr.alpha_intra + attr.beta_intra + attr.o_intra, 0.0);
+        double const ratio = attr.attributed / attr.traced_makespan;
+        EXPECT_GE(ratio, 0.95) << "attribution must explain >= 95% of the traced makespan ("
+                               << count << " elements)";
+        EXPECT_LE(ratio, 1.05) << count;
+        // A hierarchical run crosses both tiers.
+        EXPECT_GT(attr.alpha_inter + attr.beta_inter + attr.o_inter, 0.0);
+        EXPECT_GT(attr.alpha_intra + attr.beta_intra + attr.o_intra, 0.0);
 
-    EXPECT_EQ(XMPI_T_trace_attribution(-1, nullptr), MPI_ERR_ARG);
-    EXPECT_EQ(XMPI_T_trace_attribution(123456, &attr), MPI_ERR_OTHER);
+        EXPECT_EQ(XMPI_T_trace_attribution(-1, nullptr), MPI_ERR_ARG);
+        EXPECT_EQ(XMPI_T_trace_attribution(123456, &attr), MPI_ERR_OTHER);
+    }
 }
 
 namespace {
@@ -1026,5 +1024,23 @@ TEST(Trace, AttributionGoldens) {
             EXPECT_GT(a.start_skew, 0.0) << row;
         }
     }
+    std::remove(path.c_str());
+}
+
+// A ring too small for the root's 39 sends overwrites its coll_enter, so
+// the traced tape misses a rank the others name: an error, not a partial
+// decomposition.
+TEST(Trace, AttributionRefusesATruncatedTrace) {
+    TopoPin const flat(1);
+    AlgPin const pin("bcast", "flat");
+    std::string const path = "trace_attr_truncated.json";
+    EnvVar const env("XMPI_TRACE", path);
+    EnvVar const ring("XMPI_TRACE_RING_EVENTS", "32");
+    xmpi::Config cfg;
+    cfg.compute_scale = 0.0;
+    xmpi::run(40, [](int) { attr_bcast(0); }, cfg);
+    ASSERT_GT(xt::last_run().dropped, 0u);
+    XMPI_T_trace_attr attr;
+    EXPECT_EQ(XMPI_T_trace_attribution(-1, &attr), MPI_ERR_OTHER);
     std::remove(path.c_str());
 }
